@@ -2,7 +2,7 @@
 
 The pipeline: a :class:`CensoringScheme` fixes inspection times and
 withdrawal percentages; a :class:`CensoredSample` holds observed failure and
-removal counts; :func:`reliability_estimates` turns counts into survival
+removal counts; :func:`survival_values` turns counts into survival
 estimates, :func:`deviations` compares them to a hypothesized model, and
 :func:`compute_statistics` condenses the gap into six statistics whose null
 distributions are simulated by :func:`critical_values` / :func:`p_value`.
@@ -16,7 +16,6 @@ from .distributions import (
     UNIFORM,
     AlternativeFamily,
     TabulatedCdf,
-    cdf_eval,
     parse_family,
     test_general,
     transform_scheme,
@@ -25,6 +24,7 @@ from .errors import (
     CensoringError,
     DegenerateRiskSet,
     EmptyDeviationVector,
+    FamilySyntaxError,
     FirstTimeNotZero,
     FlatCdfAcrossInspections,
     InvalidN,
@@ -49,21 +49,13 @@ from .montecarlo import (
     power_estimates_to_csv,
     replicated_statistics,
 )
-from .reliability import (
-    DeviationVector,
-    ReliabilityEstimate,
-    deviations,
-    reliability_estimates,
-    survival_values,
-)
+from .reliability import deviations, survival_values
 from .sampling import interval_failure_probs, simulate_sample, withdraw_count
 from .schemes import (
     BUNDLED_SCHEME_NAMES,
     CensoredSample,
     CensoringScheme,
-    RiskSetTrace,
     load_scheme,
-    risk_trace,
     sample_from_csv,
     sample_from_json,
     sample_to_csv,
@@ -85,9 +77,9 @@ __all__ = [
     "CriticalValueTable",
     "DEFAULT_PARAMETER_GRIDS",
     "DegenerateRiskSet",
-    "DeviationVector",
     "EmptyDeviationVector",
     "FAMILY_KINDS",
+    "FamilySyntaxError",
     "FirstTimeNotZero",
     "FlatCdfAcrossInspections",
     "InvalidN",
@@ -99,14 +91,11 @@ __all__ = [
     "ParameterOutOfDomain",
     "PercentageOutOfRange",
     "PowerEstimate",
-    "ReliabilityEstimate",
-    "RiskSetTrace",
     "STAT_NAMES",
     "SchemeMismatch",
     "StatisticSet",
     "TabulatedCdf",
     "UNIFORM",
-    "cdf_eval",
     "compute_statistics",
     "critical_values",
     "derive_stream",
@@ -119,9 +108,7 @@ __all__ = [
     "power_curve",
     "power_estimates_to_csv",
     "reject",
-    "reliability_estimates",
     "replicated_statistics",
-    "risk_trace",
     "sample_from_csv",
     "sample_from_json",
     "sample_to_csv",

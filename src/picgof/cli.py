@@ -21,18 +21,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
-from .distributions import (
-    DEFAULT_PARAMETER_GRIDS,
-    UNIFORM,
-    parse_family,
-    test_general,
-    transform_scheme,
-)
-from .errors import CensoringError
-from .gof import STAT_NAMES, StatisticSet, compute_statistics
+from .distributions import DEFAULT_PARAMETER_GRIDS, parse_family, test_general, transform_scheme
+from .errors import CensoringError, FamilySyntaxError
+from .gof import STAT_NAMES
 from .montecarlo import (
     CriticalValueTable,
     critical_values,
@@ -42,7 +35,6 @@ from .montecarlo import (
     power_curve,
     power_estimates_to_csv,
 )
-from .reliability import deviations
 from .sampling import simulate_sample
 from .schemes import (
     CensoredSample,
@@ -54,13 +46,13 @@ from .schemes import (
     scheme_id,
 )
 
-__all__ = ["main", "build_parser", "RunConfig", "UsageError"]
+__all__ = ["main", "build_parser", "UsageError"]
 
 OUT_DIR_ENV = "PICGOF_OUT_DIR"
 
 
 class UsageError(Exception):
-    """Bad flags or flag values; exits with code 1."""
+    """Unknown, missing or unparseable flags; exits with code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,25 +60,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    """Everything one subcommand invocation needs, parsed but not yet loaded."""
-
-    command: str
-    scheme_spec: str | None = None
-    n: int = 40
-    level: float = 0.05
-    replications: int = 20000
-    seed: int = 0
-    workers: int = 1
-    alt_spec: str | None = None
-    null_spec: str = "uniform"
-    family: str | None = None
-    grid: tuple[float, ...] | None = None
-    data_path: str | None = None
-    critical_path: str | None = None
-    out: str | None = None
-    fmt: str = "csv"
+def _grid(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"needs comma-separated numbers, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -112,6 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     cv.add_argument("--n", type=int, default=40, help="sample size (default 40)")
     cv.add_argument("--level", type=float, default=0.05, help="test level (default 0.05)")
     common(cv)
+    cv.set_defaults(run=_run_critical_values)
 
     pw = sub.add_parser("power", help="rejection rate under one alternative")
     pw.add_argument("--scheme", required=True)
@@ -120,20 +99,24 @@ def build_parser() -> argparse.ArgumentParser:
                     help="alternative, e.g. lehmann:2.0, centered:0.5, compressed:0.25")
     pw.add_argument("--critical", required=True, help="stored critical value table")
     common(pw)
+    pw.set_defaults(run=_run_power)
 
     pc = sub.add_parser("power-curve", help="power along a parameter grid")
     pc.add_argument("--scheme", required=True)
     pc.add_argument("--n", type=int, default=40)
     pc.add_argument("--family", required=True, choices=("lehmann", "centered", "compressed"))
-    pc.add_argument("--grid", help="comma-separated parameter values (default: built-in grid)")
+    pc.add_argument("--grid", type=_grid,
+                    help="comma-separated parameter values (default: built-in grid)")
     pc.add_argument("--critical", required=True)
     common(pc)
+    pc.set_defaults(run=_run_power_curve)
 
     ts = sub.add_parser("test", help="test a data file for fit")
     ts.add_argument("--data", required=True, help="sample file (.json or CSV)")
     ts.add_argument("--null", default="uniform",
                     help="hypothesized model (default uniform); e.g. lehmann:0.8 or table:f0.csv")
     common(ts)
+    ts.set_defaults(run=_run_test)
 
     sim = sub.add_parser("simulate", help="draw one synthetic sample")
     sim.add_argument("--scheme", required=True)
@@ -142,47 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--out", help="output path; stdout when omitted")
     sim.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
+    sim.set_defaults(run=_run_simulate)
     return parser
-
-
-def _config_from(ns: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=ns.command)
-    for field in ("n", "level", "replications", "seed", "workers", "out", "fmt", "family"):
-        if hasattr(ns, field):
-            setattr(cfg, field, getattr(ns, field))
-    cfg.scheme_spec = getattr(ns, "scheme", None)
-    cfg.alt_spec = getattr(ns, "alt", None)
-    cfg.null_spec = getattr(ns, "null", "uniform")
-    cfg.data_path = getattr(ns, "data", None)
-    cfg.critical_path = getattr(ns, "critical", None)
-    grid_text = getattr(ns, "grid", None)
-    if grid_text is not None:
-        try:
-            cfg.grid = tuple(float(v) for v in grid_text.split(","))
-        except ValueError:
-            raise UsageError(f"--grid needs comma-separated numbers, got {grid_text!r}") from None
-        if not cfg.grid:
-            raise UsageError("--grid is empty")
-    _check_family_syntax(cfg.alt_spec, "--alt")
-    _check_family_syntax(cfg.null_spec, "--null")
-    return cfg
-
-
-def _check_family_syntax(spec: str | None, flag: str) -> None:
-    """Reject malformed family specs as usage errors before any work happens."""
-    if spec is None:
-        return
-    kind, _, arg = spec.partition(":")
-    kind = kind.strip()
-    if kind not in ("uniform", "table", "lehmann", "centered", "compressed"):
-        raise UsageError(f"{flag}: unknown family {kind!r} in {spec!r}")
-    if kind in ("lehmann", "centered", "compressed"):
-        try:
-            float(arg)
-        except ValueError:
-            raise UsageError(
-                f"{flag}: {kind} needs a numeric parameter, e.g. '{kind}:0.5'"
-            ) from None
 
 
 def _resolve_out(out: str | None) -> Path | None:
@@ -216,134 +160,114 @@ def _load_sample(path: str) -> CensoredSample:
     return sample_from_csv(text)
 
 
-def _run_critical_values(cfg: RunConfig) -> int:
-    scheme = load_scheme(cfg.scheme_spec)
-    table = critical_values(scheme, cfg.n, cfg.level, cfg.replications, cfg.seed, cfg.workers)
-    if cfg.fmt == "json":
-        _emit(table.to_json() + "\n", cfg.out)
+def _run_critical_values(ns: argparse.Namespace) -> None:
+    scheme = load_scheme(ns.scheme)
+    table = critical_values(scheme, ns.n, ns.level, ns.replications, ns.seed, ns.workers)
+    if ns.fmt == "json":
+        _emit(table.to_json() + "\n", ns.out)
     else:
-        _emit(table.to_csv(), cfg.out)
-    return 0
+        _emit(table.to_csv(), ns.out)
 
 
-def _run_power(cfg: RunConfig) -> int:
-    scheme = load_scheme(cfg.scheme_spec)
-    table = CriticalValueTable.load(cfg.critical_path)
-    alternative = parse_family(cfg.alt_spec)
-    est = power(scheme, cfg.n, table, alternative, cfg.replications, cfg.seed, cfg.workers)
+def _run_power(ns: argparse.Namespace) -> None:
+    alternative = parse_family(ns.alt)
+    scheme = load_scheme(ns.scheme)
+    table = CriticalValueTable.load(ns.critical)
+    est = power(scheme, ns.n, table, alternative, ns.replications, ns.seed, ns.workers)
     header = _provenance(
-        scheme=scheme_id(scheme), n=cfg.n, level=table.level,
-        B=cfg.replications, seed=cfg.seed, alt=cfg.alt_spec,
+        scheme=scheme_id(scheme), n=ns.n, level=table.level,
+        B=ns.replications, seed=ns.seed, alt=ns.alt,
     )
-    if cfg.fmt == "json":
+    if ns.fmt == "json":
         obj = {
-            "scheme_id": scheme_id(scheme), "n": cfg.n, "level": table.level,
-            "B": cfg.replications, "seed": cfg.seed,
+            "scheme_id": scheme_id(scheme), "n": ns.n, "level": table.level,
+            "B": ns.replications, "seed": ns.seed,
             "family": est.family, "parameter": est.parameter,
             "power": est.power, "stderr": est.stderr,
         }
-        _emit(json.dumps(obj) + "\n", cfg.out)
+        _emit(json.dumps(obj) + "\n", ns.out)
     else:
-        _emit(header + power_estimates_to_csv([est]), cfg.out)
-    return 0
+        _emit(header + power_estimates_to_csv([est]), ns.out)
 
 
-def _run_power_curve(cfg: RunConfig) -> int:
-    scheme = load_scheme(cfg.scheme_spec)
-    table = CriticalValueTable.load(cfg.critical_path)
-    grid = cfg.grid if cfg.grid is not None else DEFAULT_PARAMETER_GRIDS[cfg.family]
+def _run_power_curve(ns: argparse.Namespace) -> None:
+    scheme = load_scheme(ns.scheme)
+    table = CriticalValueTable.load(ns.critical)
+    grid = ns.grid if ns.grid is not None else DEFAULT_PARAMETER_GRIDS[ns.family]
     estimates = power_curve(
-        scheme, cfg.n, table, cfg.family, grid, cfg.replications, cfg.seed, cfg.workers
+        scheme, ns.n, table, ns.family, grid, ns.replications, ns.seed, ns.workers
     )
     header = _provenance(
-        scheme=scheme_id(scheme), n=cfg.n, level=table.level,
-        B=cfg.replications, seed=cfg.seed, family=cfg.family,
+        scheme=scheme_id(scheme), n=ns.n, level=table.level,
+        B=ns.replications, seed=ns.seed, family=ns.family,
     )
-    if cfg.fmt == "json":
+    if ns.fmt == "json":
         obj = {
-            "scheme_id": scheme_id(scheme), "n": cfg.n, "level": table.level,
-            "B": cfg.replications, "seed": cfg.seed, "family": cfg.family,
+            "scheme_id": scheme_id(scheme), "n": ns.n, "level": table.level,
+            "B": ns.replications, "seed": ns.seed, "family": ns.family,
             "points": [
                 {"parameter": e.parameter, "power": e.power, "stderr": e.stderr}
                 for e in estimates
             ],
         }
-        _emit(json.dumps(obj) + "\n", cfg.out)
+        _emit(json.dumps(obj) + "\n", ns.out)
     else:
-        _emit(header + power_estimates_to_csv(estimates), cfg.out)
-    return 0
+        _emit(header + power_estimates_to_csv(estimates), ns.out)
 
 
-def _run_test(cfg: RunConfig) -> int:
-    sample = _load_sample(cfg.data_path)
-    null = parse_family(cfg.null_spec)
-    if null.kind == "uniform":
-        working_scheme = sample.scheme
-        stats = compute_statistics(deviations(sample, UNIFORM))
-    else:
-        working_scheme = transform_scheme(sample.scheme, null)
-        stats = test_general(sample, null)
-    pvals = p_value(stats, working_scheme, sample.n, cfg.replications, cfg.seed, cfg.workers)
-    if cfg.fmt == "json":
+def _run_test(ns: argparse.Namespace) -> None:
+    null = parse_family(ns.null)
+    sample = _load_sample(ns.data)
+    working_scheme = transform_scheme(sample.scheme, null)
+    stats = test_general(sample, null)
+    pvals = p_value(stats, working_scheme, sample.n, ns.replications, ns.seed, ns.workers)
+    if ns.fmt == "json":
         obj = {
             "scheme_id": scheme_id(working_scheme), "n": sample.n,
-            "null": cfg.null_spec, "B": cfg.replications, "seed": cfg.seed,
+            "null": ns.null, "B": ns.replications, "seed": ns.seed,
             "statistics": stats.as_dict(), "p_values": pvals,
         }
-        _emit(json.dumps(obj) + "\n", cfg.out)
+        _emit(json.dumps(obj) + "\n", ns.out)
     else:
         lines = [
             _provenance(
-                scheme=scheme_id(working_scheme), n=sample.n, null=cfg.null_spec,
-                B=cfg.replications, seed=cfg.seed,
+                scheme=scheme_id(working_scheme), n=sample.n, null=ns.null,
+                B=ns.replications, seed=ns.seed,
             ).rstrip("\n"),
             "kind," + ",".join(STAT_NAMES),
             "statistic," + ",".join(repr(v) for v in stats.as_tuple()),
             "p_value," + ",".join(repr(pvals[name]) for name in STAT_NAMES),
         ]
-        _emit("\n".join(lines) + "\n", cfg.out)
-    return 0
+        _emit("\n".join(lines) + "\n", ns.out)
 
 
-def _run_simulate(cfg: RunConfig) -> int:
-    scheme = load_scheme(cfg.scheme_spec)
-    model = parse_family(cfg.alt_spec)
-    sample = simulate_sample(scheme, cfg.n, model, derive_stream(cfg.seed, 0))
-    if cfg.fmt == "json":
-        _emit(sample_to_json(sample) + "\n", cfg.out)
+def _run_simulate(ns: argparse.Namespace) -> None:
+    model = parse_family(ns.alt)
+    scheme = load_scheme(ns.scheme)
+    sample = simulate_sample(scheme, ns.n, model, derive_stream(ns.seed, 0))
+    if ns.fmt == "json":
+        _emit(sample_to_json(sample) + "\n", ns.out)
     else:
-        _emit(sample_to_csv(sample), cfg.out)
+        _emit(sample_to_csv(sample), ns.out)
     print(
-        f"simulate: scheme={scheme_id(scheme)} n={cfg.n} alt={cfg.alt_spec} seed={cfg.seed}",
+        f"simulate: scheme={scheme_id(scheme)} n={ns.n} alt={ns.alt} seed={ns.seed}",
         file=sys.stderr,
     )
-    return 0
-
-
-_DISPATCH = {
-    "critical-values": _run_critical_values,
-    "power": _run_power,
-    "power-curve": _run_power_curve,
-    "test": _run_test,
-    "simulate": _run_simulate,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-        cfg = _config_from(ns)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        ns = build_parser().parse_args(argv)
+        ns.run(ns)
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
-    try:
-        return _DISPATCH[cfg.command](cfg)
+    except (UsageError, FamilySyntaxError) as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
     except (CensoringError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

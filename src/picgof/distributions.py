@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
+    FamilySyntaxError,
     FlatCdfAcrossInspections,
     NonMonotoneCdf,
     ParameterOutOfDomain,
@@ -76,8 +77,11 @@ class TabulatedCdf:
             parts = ln.split(",")
             if len(parts) != 2:
                 raise ParameterOutOfDomain(f"expected 2 columns, got {ln!r}")
-            xs.append(float(parts[0]))
-            values.append(float(parts[1]))
+            try:
+                xs.append(float(parts[0]))
+                values.append(float(parts[1]))
+            except ValueError:
+                raise ParameterOutOfDomain(f"non-numeric entry in row {ln!r}") from None
         return cls(tuple(xs), tuple(values))
 
 
@@ -128,7 +132,33 @@ class AlternativeFamily:
             raise ParameterOutOfDomain(f"{self.kind} does not take a table")
 
     def __call__(self, x: float) -> float:
-        return cdf_eval(self, x)
+        """Evaluate the CDF at a point.
+
+        For the parametric families any x outside [0, 1] clamps to the
+        boundary value; a custom table clamps to its own grid instead.
+        """
+        if self.kind == "custom":
+            return self.table(x)
+        x = float(x)
+        if x <= 0.0:
+            return 0.0
+        if x >= 1.0:
+            return 1.0
+        if self.kind == "uniform":
+            return x
+        p = self.parameter
+        if self.kind == "lehmann":
+            return x**p
+        if self.kind == "centered":
+            if x <= 0.5:
+                return 0.5 * (2.0 * x) ** p
+            return 1.0 - 0.5 * (2.0 * (1.0 - x)) ** p
+        # compressed: uniform on [g, 1 - g]
+        if x < p:
+            return 0.0
+        if x > 1.0 - p:
+            return 1.0
+        return (x - p) / (1.0 - 2.0 * p)
 
     def spec(self) -> str:
         """The string form accepted by :func:`parse_family` (tables excepted)."""
@@ -142,63 +172,34 @@ class AlternativeFamily:
 UNIFORM = AlternativeFamily("uniform")
 
 
-def cdf_eval(family: AlternativeFamily, x: float) -> float:
-    """Evaluate a family CDF at a point.
-
-    For the parametric families any x outside [0, 1] clamps to the boundary
-    value; a custom table clamps to its own grid instead.
-    """
-    if family.kind == "custom":
-        return family.table(x)
-    x = float(x)
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    if family.kind == "uniform":
-        return x
-    p = family.parameter
-    if family.kind == "lehmann":
-        return x**p
-    if family.kind == "centered":
-        if x <= 0.5:
-            return 0.5 * (2.0 * x) ** p
-        return 1.0 - 0.5 * (2.0 * (1.0 - x)) ** p
-    # compressed: uniform on [g, 1 - g]
-    if x < p:
-        return 0.0
-    if x > 1.0 - p:
-        return 1.0
-    return (x - p) / (1.0 - 2.0 * p)
-
-
-def parse_family(spec: str, *, read_table: bool = True) -> AlternativeFamily:
+def parse_family(spec: str) -> AlternativeFamily:
     """Parse a family spec string.
 
     Accepted forms: ``uniform``, ``lehmann:2.0``, ``centered:0.5``,
     ``compressed:0.25``, and ``table:<csv path>`` for a tabulated CDF.
+    A malformed spec raises :class:`FamilySyntaxError` before any file is
+    read; a well-formed one with a parameter outside its family's domain
+    raises :class:`ParameterOutOfDomain`.
     """
     kind, sep, arg = spec.partition(":")
     kind = kind.strip()
     if kind == "uniform":
         if sep:
-            raise ParameterOutOfDomain(f"uniform takes no parameter, got {spec!r}")
+            raise FamilySyntaxError(f"uniform takes no parameter, got {spec!r}")
         return UNIFORM
     if kind == "table":
         if not arg:
-            raise ParameterOutOfDomain("table form is 'table:<csv path>'")
-        if not read_table:
-            raise ParameterOutOfDomain("table specs are not allowed here")
+            raise FamilySyntaxError("table form is 'table:<csv path>'")
         return AlternativeFamily("custom", table=TabulatedCdf.from_csv(Path(arg).read_text("utf-8")))
     if kind in ("lehmann", "centered", "compressed"):
         try:
             value = float(arg)
         except ValueError:
-            raise ParameterOutOfDomain(
+            raise FamilySyntaxError(
                 f"{kind} needs a numeric parameter, e.g. '{kind}:0.5', got {spec!r}"
             ) from None
         return AlternativeFamily(kind, parameter=value)
-    raise ParameterOutOfDomain(f"unknown family {kind!r} in {spec!r}")
+    raise FamilySyntaxError(f"unknown family {kind!r} in {spec!r}")
 
 
 def transform_scheme(scheme: CensoringScheme, f0: Callable[[float], float]) -> CensoringScheme:

@@ -55,7 +55,11 @@ class SchemeMismatch(CensoringError):
 
 
 class ParameterOutOfDomain(CensoringError):
-    """A distribution family parameter lies outside its domain."""
+    """A model, design or run parameter lies outside its domain."""
+
+
+class FamilySyntaxError(ParameterOutOfDomain):
+    """A family spec string is malformed: unknown kind or missing parameter."""
 
 
 class FlatCdfAcrossInspections(CensoringError):

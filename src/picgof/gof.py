@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import EmptyDeviationVector, SchemeMismatch
-from .reliability import DeviationVector
 from .schemes import CensoringScheme, scheme_id
 
 if TYPE_CHECKING:
@@ -15,8 +13,6 @@ if TYPE_CHECKING:
 
 #: Canonical statistic order used everywhere (CSV columns, arrays, dicts).
 STAT_NAMES = ("c_plus", "c_minus", "c", "k", "t1", "t2")
-
-STATISTICS_CSV_HEADER = ",".join(STAT_NAMES)
 
 
 @dataclass(frozen=True)
@@ -42,17 +38,6 @@ class StatisticSet:
     def as_tuple(self) -> tuple[float, float, float, float, float, float]:
         return (self.c_plus, self.c_minus, self.c, self.k, self.t1, self.t2)
 
-    def to_csv(self) -> str:
-        row = ",".join(repr(v) for v in self.as_tuple())
-        return f"{STATISTICS_CSV_HEADER}\n{row}\n"
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict())
-
-    @classmethod
-    def from_dict(cls, values: dict) -> "StatisticSet":
-        return cls(**{name: float(values[name]) for name in STAT_NAMES})
-
 
 def fold_deviations(d: Sequence[float]) -> tuple[float, float, float, float, float, float]:
     """Raw statistic tuple (STAT_NAMES order) from a nonempty deviation sequence."""
@@ -67,12 +52,12 @@ def fold_deviations(d: Sequence[float]) -> tuple[float, float, float, float, flo
     return c_plus, c_minus, max(c_plus, c_minus), c_plus + c_minus, s1 / m, s2 / m
 
 
-def compute_statistics(d: DeviationVector | Sequence[float]) -> StatisticSet:
+def compute_statistics(d: Sequence[float]) -> StatisticSet:
     """All six statistics of a deviation vector."""
-    seq = d.d if isinstance(d, DeviationVector) else tuple(d)
-    if len(seq) == 0:
+    d = tuple(d)
+    if not d:
         raise EmptyDeviationVector("cannot summarize an empty deviation vector")
-    return StatisticSet(*fold_deviations(seq))
+    return StatisticSet(*fold_deviations(d))
 
 
 def reject(

@@ -20,11 +20,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .distributions import UNIFORM, AlternativeFamily
-from .errors import InvalidN, SchemeMismatch
+from .errors import CensoringError, InvalidN, ParameterOutOfDomain, SchemeMismatch
 from .gof import STAT_NAMES, StatisticSet, fold_deviations
 from .reliability import survival_values
 from .sampling import Cdf, draw_counts, interval_failure_probs
-from .schemes import CensoringScheme, scheme_id
+from .schemes import CensoringScheme, scheme_id, validate_scheme
 
 #: Replications per dispatch unit.  Fixed, so the chunk layout never depends
 #: on the worker count.
@@ -55,7 +55,7 @@ def _resolve_workers(workers: int) -> int:
     if workers == 0:
         return os.cpu_count() or 1
     if workers < 0:
-        raise ValueError(f"workers must be >= 0, got {workers}")
+        raise ParameterOutOfDomain(f"workers must be >= 0, got {workers}")
     return workers
 
 
@@ -77,11 +77,11 @@ def replicated_statistics(
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidN(f"sample size must be a positive integer, got {n!r}")
     if replications < 1:
-        raise ValueError(f"need at least one replication, got {replications}")
+        raise ParameterOutOfDomain(f"need at least one replication, got {replications}")
     if not 0 <= seed < 2**64:
-        raise ValueError("seed must be an integer in [0, 2**64)")
+        raise ParameterOutOfDomain(f"seed must be an integer in [0, 2**64), got {seed}")
     if scheme.times[-1] >= 1.0:
-        raise ValueError(
+        raise ParameterOutOfDomain(
             "uniformity statistics need the final inspection time below 1, "
             f"got {scheme.times[-1]!r}"
         )
@@ -151,33 +151,38 @@ class CriticalValueTable:
         cells = lines[1].split(",")
         if len(cells) != 11:
             raise SchemeMismatch(f"expected 11 columns, got {len(cells)}")
-        values = {name: float(cells[5 + j]) for j, name in enumerate(STAT_NAMES)}
-        return cls(
-            scheme_id=cells[0].strip(),
-            n=int(cells[1]),
-            level=float(cells[2]),
-            replications=int(cells[3]),
-            seed=int(cells[4]),
-            values=values,
-        )
+        try:
+            return cls(
+                scheme_id=cells[0].strip(),
+                n=int(cells[1]),
+                level=float(cells[2]),
+                replications=int(cells[3]),
+                seed=int(cells[4]),
+                values={name: float(cells[5 + j]) for j, name in enumerate(STAT_NAMES)},
+            )
+        except ValueError:
+            raise SchemeMismatch(f"non-numeric entry in table row {lines[1]!r}") from None
 
     @classmethod
     def from_json(cls, text: str) -> "CriticalValueTable":
         obj = json.loads(text)
-        scheme = None
-        if "scheme" in obj:
-            from .schemes import validate_scheme
-
-            scheme = validate_scheme(obj["scheme"]["times"], obj["scheme"]["percentages"])
-        return cls(
-            scheme_id=obj["scheme_id"],
-            n=int(obj["n"]),
-            level=float(obj["level"]),
-            replications=int(obj["B"]),
-            seed=int(obj["seed"]),
-            values={name: float(obj["critical_values"][name]) for name in STAT_NAMES},
-            scheme=scheme,
-        )
+        try:
+            scheme = None
+            if "scheme" in obj:
+                scheme = validate_scheme(obj["scheme"]["times"], obj["scheme"]["percentages"])
+            return cls(
+                scheme_id=obj["scheme_id"],
+                n=int(obj["n"]),
+                level=float(obj["level"]),
+                replications=int(obj["B"]),
+                seed=int(obj["seed"]),
+                values={name: float(obj["critical_values"][name]) for name in STAT_NAMES},
+                scheme=scheme,
+            )
+        except CensoringError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemeMismatch(f"malformed critical value JSON: {exc!r}") from None
 
     @classmethod
     def load(cls, path: str | Path) -> "CriticalValueTable":
@@ -204,7 +209,7 @@ def critical_values(
     B at 1000 or more.
     """
     if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie strictly between 0 and 1, got {level!r}")
+        raise ParameterOutOfDomain(f"level must lie strictly between 0 and 1, got {level!r}")
     stats = replicated_statistics(scheme, n, UNIFORM, seed, replications, workers)
     order = math.ceil(replications * (1.0 - level))
     values = {}
@@ -313,7 +318,7 @@ def power_curve(
     """
     points = [float(p) for p in grid]
     if not points:
-        raise ValueError("empty parameter grid")
+        raise ParameterOutOfDomain("empty parameter grid")
     families = [AlternativeFamily(family_kind, parameter=p) for p in points]
     return [
         power(scheme, n, critical, fam, replications, seed, workers) for fam in families

@@ -12,10 +12,9 @@ estimate stays constant from then on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import DegenerateRiskSet
+from .errors import DegenerateRiskSet, ParameterOutOfDomain
 from .schemes import CensoredSample
 
 
@@ -41,42 +40,18 @@ def survival_values(n: int, failures: Sequence[int], removals: Sequence[int]) ->
     return values
 
 
-@dataclass(frozen=True)
-class ReliabilityEstimate:
-    """Estimated survival probabilities at t_1, ..., t_m.
-
-    Values are nonincreasing and lie in [0, 1] by construction.
-    """
-
-    values: tuple[float, ...]
-
-
-def reliability_estimates(sample: CensoredSample) -> ReliabilityEstimate:
-    """Estimate survival at each inspection time of a validated sample."""
-    return ReliabilityEstimate(
-        tuple(survival_values(sample.n, sample.failures, sample.removals))
-    )
-
-
-@dataclass(frozen=True)
-class DeviationVector:
-    """Estimated minus hypothesized survival at each inspection time."""
-
-    d: tuple[float, ...]
-
-
-def deviations(sample: CensoredSample, null_cdf: Callable[[float], float]) -> DeviationVector:
-    """Deviations of the estimated survival from a hypothesized model.
+def deviations(sample: CensoredSample, null_cdf: Callable[[float], float]) -> tuple[float, ...]:
+    """Estimated minus hypothesized survival at each inspection time.
 
     ``null_cdf`` must leave positive survival at the final inspection time
     (for the uniformity test: t_m < 1); otherwise the last deviation is
-    pinned by design rather than informative, and a ``ValueError`` is raised.
+    pinned by design rather than informative, and
+    :class:`ParameterOutOfDomain` is raised.
     """
     times = sample.scheme.inspection_times
     if 1.0 - float(null_cdf(times[-1])) <= 0.0:
-        raise ValueError(
+        raise ParameterOutOfDomain(
             "the hypothesized cdf must stay below 1 at the final inspection time"
         )
     est = survival_values(sample.n, sample.failures, sample.removals)
-    d = tuple(e - (1.0 - float(null_cdf(t))) for t, e in zip(times, est))
-    return DeviationVector(d)
+    return tuple(e - (1.0 - float(null_cdf(t))) for t, e in zip(times, est))

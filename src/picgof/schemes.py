@@ -148,31 +148,6 @@ def _as_count(value, what: str) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
-class RiskSetTrace:
-    """Running totals derived from a sample.
-
-    ``alpha_plus[i]`` is the number of units still on test after inspection i
-    (``alpha_plus[0] == n``); ``cum_failures`` / ``cum_removals`` are the
-    matching cumulative counts, each of length m + 1 with a leading 0.
-    """
-
-    alpha_plus: tuple[int, ...]
-    cum_failures: tuple[int, ...]
-    cum_removals: tuple[int, ...]
-
-
-def risk_trace(sample: CensoredSample) -> RiskSetTrace:
-    """Cumulative failures/removals and after-inspection risk set sizes."""
-    cum_x = [0]
-    cum_r = [0]
-    for x, r in zip(sample.failures, sample.removals):
-        cum_x.append(cum_x[-1] + x)
-        cum_r.append(cum_r[-1] + r)
-    alpha = tuple(sample.n - cx - cr for cx, cr in zip(cum_x, cum_r))
-    return RiskSetTrace(alpha, tuple(cum_x), tuple(cum_r))
-
-
 def scheme_id(scheme: CensoringScheme) -> str:
     """Short content digest of a scheme, stable across runs and processes.
 
@@ -200,6 +175,8 @@ def scheme_from_json(text: str) -> CensoringScheme:
         percentages = obj["percentages"]
     except (TypeError, KeyError) as exc:
         raise InvalidSample(f"scheme JSON needs 'times' and 'percentages': {exc}") from None
+    if not isinstance(times, list) or not isinstance(percentages, list):
+        raise InvalidSample("scheme JSON 'times' and 'percentages' must be lists")
     return validate_scheme(times, percentages)
 
 
@@ -228,7 +205,7 @@ def sample_from_json(text: str) -> CensoredSample:
     obj = json.loads(text)
     try:
         scheme = validate_scheme(obj["times"], obj["percentages"])
-        return CensoredSample(scheme, int(obj["n"]), tuple(obj["failures"]), tuple(obj["removals"]))
+        return CensoredSample(scheme, obj["n"], tuple(obj["failures"]), tuple(obj["removals"]))
     except (TypeError, KeyError) as exc:
         raise InvalidSample(f"sample JSON is missing fields: {exc}") from None
 

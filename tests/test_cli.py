@@ -199,6 +199,22 @@ class TestExitCodes:
         code, _, _ = run(capsys, "simulate", "--scheme", "t1p1", "--alt", "lehmann:x")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--scheme", "t1p1", "--alt", "uniform:3"),
+            ("simulate", "--scheme", "t1p1", "--alt", "table:"),
+            ("test", "--data", "missing.csv", "--null", "uniform:3"),
+            # the spec is checked before either file is opened
+            ("power", "--scheme", "missing.json", "--alt", "weibull:1", "--critical", "missing.csv"),
+        ],
+        ids=" ".join,
+    )
+    def test_malformed_family_spec_is_usage_error(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("usage error:")
+
     def test_out_of_domain_parameter_is_data_error(self, capsys):
         code, _, err = run(
             capsys, "simulate", "--scheme", "t1p1", "--alt", "lehmann:-2.0"
@@ -223,6 +239,64 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
         assert run(capsys, "test", "--help")[0] == 0
+
+
+BAD_INPUTS = {
+    "tm1.json": json.dumps({"times": [0.0, 0.5, 1.0], "percentages": [0.5, 1.0]}),
+    "times_text.json": json.dumps({"times": "0,0.5", "percentages": [1.0]}),
+    "late.csv": "t_i,x_i,r_i\n0.5,1,3\n1.0,0,2\n",
+    "ok.csv": "t_i,x_i,r_i\n0.25,1,3\n0.5,0,2\n",
+    "f0_text.csv": "x,cdf\n0.0,0.0\n0.5,half\n1.0,1.0\n",
+    "n_half.json": json.dumps(
+        {"times": [0.0, 0.5], "percentages": [1.0], "n": 2.5, "failures": [1], "removals": [1]}
+    ),
+    "n_text.json": json.dumps(
+        {"times": [0.0, 0.5], "percentages": [1.0], "n": "two", "failures": [1], "removals": [1]}
+    ),
+    "cv_text.csv": "scheme_id,n,level,B,seed,c_plus,c_minus,c,k,t1,t2\n"
+    "x,15,0.05,400,1,0.3,high,0.5,0.5,0.07,0.2\n",
+    "cv_nokey.json": json.dumps({"scheme_id": "x", "n": 15, "level": 0.05, "B": 400, "seed": 1}),
+    "cv_type.json": json.dumps(
+        {"scheme_id": "x", "n": [15], "level": 0.05, "B": 400, "seed": 1, "critical_values": {}}
+    ),
+}
+
+CV = ("critical-values", "--scheme", "t1p1", "--n", "10", "--B", "20")
+POWER = ("power", "--scheme", "t1p1", "--n", "15", "--alt", "lehmann:2.0", "--B", "20")
+
+
+class TestErrorBoundary:
+    """Out-of-domain values and malformed files end in one line and exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("critical-values", "--scheme", "t1p1", "--B", "0"),
+            (*CV, "--level", "1.5"),
+            (*CV, "--seed", "-1"),
+            (*CV, "--threads", "-2"),
+            ("critical-values", "--scheme", "tm1.json", "--B", "20"),
+            ("critical-values", "--scheme", "times_text.json", "--B", "20"),
+            ("test", "--data", "late.csv", "--B", "20"),
+            ("test", "--data", "ok.csv", "--B", "0"),
+            ("test", "--data", "ok.csv", "--null", "table:f0_text.csv", "--B", "20"),
+            ("test", "--data", "n_half.json", "--B", "20"),
+            ("test", "--data", "n_text.json", "--B", "20"),
+            (*POWER, "--critical", "cv_text.csv"),
+            (*POWER, "--critical", "cv_nokey.json"),
+            (*POWER, "--critical", "cv_type.json"),
+        ],
+        ids=" ".join,
+    )
+    def test_exits_2_with_one_line(self, capsys, tmp_path, monkeypatch, argv):
+        for name, text in BAD_INPUTS.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
 
 
 class TestOutputPaths:

@@ -1,0 +1,122 @@
+"""Golden CLI transcript: stdout bytes and exit code for a fixed set of argv.
+
+Every case runs in-process from ``tests/golden``, whose input files
+(samples, a tabulated CDF, critical tables and broken files) the argv name
+by relative path.  Monte Carlo output depends on numpy's binomial sampler,
+so the comparison is skipped under a numpy version other than the one the
+transcript was captured with.
+
+Regenerate the transcript (only for a deliberate output change) with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import io
+import json
+import os
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from picgof.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+TRANSCRIPT = GOLDEN_DIR / "cli.json"
+
+_B = ("--B", "200", "--seed", "3")
+
+CASES = [
+    # critical-values
+    ("critical-values", "--scheme", "t1p1", "--n", "20", *_B),
+    ("critical-values", "--scheme", "t2p2", "--n", "10", "--level", "0.1", *_B, "--format", "json"),
+    ("critical-values", "--scheme", "bad_scheme.json", "--B", "10"),
+    # power
+    ("power", "--scheme", "t1p1", "--n", "15", "--alt", "lehmann:2.0", "--critical", "cv.csv", *_B),
+    ("power", "--scheme", "t1p1", "--n", "15", "--alt", "compressed:0.2", "--critical", "cv.json",
+     *_B, "--format", "json"),
+    ("power", "--scheme", "t1p1", "--n", "15", "--alt", "table:f0.csv", "--critical", "cv.csv", *_B),
+    # power-curve
+    ("power-curve", "--scheme", "t1p1", "--n", "15", "--family", "lehmann", "--grid", "1.0,2.0",
+     "--critical", "cv.csv", *_B),
+    ("power-curve", "--scheme", "t1p1", "--n", "15", "--family", "centered", "--grid", "0.5,1.5",
+     "--critical", "cv.json", *_B, "--format", "json"),
+    ("power-curve", "--scheme", "t1p1", "--n", "15", "--family", "compressed", "--critical", "cv.csv",
+     "--B", "50", "--seed", "3"),
+    ("power-curve", "--scheme", "t1p1", "--n", "15", "--family", "lehmann", "--critical", "cv.json",
+     "--B", "50", "--seed", "3", "--format", "json"),
+    # test: three nulls on a CSV and a JSON sample, both output formats
+    *(
+        ("test", "--data", data, "--null", null, *_B, "--format", fmt)
+        for data in ("sample.csv", "sample.json")
+        for null in ("uniform", "lehmann:0.8", "table:f0.csv")
+        for fmt in ("csv", "json")
+    ),
+    ("test", "--data", "sample.csv", *_B),
+    # simulate
+    ("simulate", "--scheme", "t1p1", "--n", "30", "--seed", "4"),
+    ("simulate", "--scheme", "t2p1", "--n", "30", "--alt", "centered:2.0", "--seed", "4",
+     "--format", "json"),
+    ("simulate", "--scheme", "t1p2", "--n", "30", "--alt", "table:f0.csv", "--seed", "4"),
+    # usage errors (exit 1)
+    ("critical-values", "--scheme", "t1p1", "--frobnicate"),
+    (),
+    ("simulate", "--scheme", "t1p1", "--alt", "weibull:2.0"),
+    ("simulate", "--scheme", "t1p1", "--alt", "lehmann:x"),
+    ("test", "--data", "sample.csv", "--null", "nonsense"),
+    ("power-curve", "--scheme", "t1p1", "--family", "lehmann", "--grid", "1,x", "--critical", "cv.csv"),
+    ("power", "--scheme", "missing.json", "--alt", "weibull:1", "--critical", "missing.csv"),
+    # data errors (exit 2)
+    ("simulate", "--scheme", "t1p1", "--alt", "lehmann:-2.0"),
+    ("simulate", "--scheme", "t1p1", "--alt", "compressed:0.7"),
+    ("test", "--data", "missing.csv"),
+    ("test", "--data", "bad_header.csv"),
+    ("test", "--data", "sample.csv", "--null", "table:missing.csv"),
+    ("power", "--scheme", "t2p1", "--n", "15", "--alt", "lehmann:2.0", "--critical", "cv.csv", *_B),
+    ("power", "--scheme", "t1p1", "--n", "16", "--alt", "lehmann:2.0", "--critical", "cv.json", *_B),
+]
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def _capture() -> dict:
+    cwd = os.getcwd()
+    os.chdir(GOLDEN_DIR)
+    try:
+        cases = []
+        for argv in CASES:
+            code, stdout = _run(argv)
+            cases.append({"argv": list(argv), "exit": code, "stdout": stdout})
+    finally:
+        os.chdir(cwd)
+    return {"numpy": np.__version__, "cases": cases}
+
+
+def _load() -> dict:
+    return json.loads(TRANSCRIPT.read_text("utf-8"))
+
+
+def test_transcript_covers_every_case():
+    assert [c["argv"] for c in _load()["cases"]] == [list(argv) for argv in CASES]
+
+
+@pytest.mark.parametrize("index", range(len(CASES)), ids=lambda i: " ".join(CASES[i]) or "<none>")
+def test_cli_output_matches_transcript(index, monkeypatch):
+    golden = _load()
+    if golden["numpy"] != np.__version__:
+        pytest.skip(f"transcript captured with numpy {golden['numpy']}, running {np.__version__}")
+    monkeypatch.chdir(GOLDEN_DIR)
+    monkeypatch.delenv("PICGOF_OUT_DIR", raising=False)
+    case = golden["cases"][index]
+    code, stdout = _run(case["argv"])
+    assert (code, stdout) == (case["exit"], case["stdout"])
+
+
+if __name__ == "__main__":
+    TRANSCRIPT.write_text(json.dumps(_capture(), indent=1) + "\n", "utf-8")

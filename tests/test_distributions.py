@@ -105,8 +105,14 @@ class TestParseFamily:
         "spec", ["uniform:1", "lehmann", "lehmann:abc", "weibull:2", "table:"]
     )
     def test_rejects_malformed_specs(self, spec):
-        with pytest.raises(pg.ParameterOutOfDomain):
+        with pytest.raises(pg.FamilySyntaxError):
             pg.parse_family(spec)
+
+    @pytest.mark.parametrize("spec", ["lehmann:-2.0", "centered:0", "compressed:0.7"])
+    def test_out_of_domain_parameter_is_not_a_syntax_error(self, spec):
+        with pytest.raises(pg.ParameterOutOfDomain) as info:
+            pg.parse_family(spec)
+        assert not isinstance(info.value, pg.FamilySyntaxError)
 
     def test_table_spec_reads_file(self, tmp_path):
         path = tmp_path / "f0.csv"

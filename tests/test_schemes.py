@@ -106,31 +106,6 @@ class TestCensoredSample:
             pg.CensoredSample(scheme, n, (0,), (0,))
 
 
-class TestRiskTrace:
-    def test_worked_example(self):
-        scheme = pg.validate_scheme((0.0, 0.25, 0.5), (0.4, 1.0))
-        trace = pg.risk_trace(pg.CensoredSample(scheme, 10, (2, 1), (4, 3)))
-        assert trace.alpha_plus == (10, 4, 0)
-        assert trace.cum_failures == (0, 2, 3)
-        assert trace.cum_removals == (0, 4, 7)
-
-    def test_everything_fails_immediately(self):
-        scheme = pg.validate_scheme((0.0, 0.25, 0.5), (0.4, 1.0))
-        trace = pg.risk_trace(pg.CensoredSample(scheme, 3, (3, 0), (0, 0)))
-        assert trace.alpha_plus == (3, 0, 0)
-
-    @given(samples())
-    def test_trace_invariants(self, sample):
-        trace = pg.risk_trace(sample)
-        m = sample.scheme.m
-        assert len(trace.alpha_plus) == m + 1
-        assert trace.alpha_plus[0] == sample.n
-        assert trace.alpha_plus[-1] == 0
-        assert all(a >= b >= 0 for a, b in zip(trace.alpha_plus, trace.alpha_plus[1:]))
-        for i in range(m + 1):
-            assert trace.alpha_plus[i] == sample.n - trace.cum_failures[i] - trace.cum_removals[i]
-
-
 class TestSchemeId:
     def test_stable_and_distinct(self, bundled_schemes):
         ids = {name: pg.scheme_id(s) for name, s in bundled_schemes.items()}
