@@ -3,20 +3,19 @@
 
 Prints a side-by-side comparison against the published reference values and
 exits nonzero if any entry drifts beyond the tolerance.  With the default
-settings (n=40, B=20000, seed=1) every entry lands within 0.02.
+settings (n=40, B=20000, seed=1) every entry lands within 0.02.  The published
+values are the one copy in tests/test_acceptance.py (``REFERENCE_CRITICAL``).
 """
 
 import argparse
+import pathlib
 import sys
 
 import picgof as pg
 
-REFERENCE = {
-    "t1p1": (0.2361, 0.2597, 0.3140, 0.3157, 0.0284, 0.1420),
-    "t1p2": (0.2775, 0.3111, 0.3412, 0.3513, 0.0409, 0.1700),
-    "t2p1": (0.2470, 0.2417, 0.3066, 0.3214, 0.0310, 0.1378),
-    "t2p2": (0.3000, 0.3132, 0.3500, 0.3750, 0.0440, 0.1655),
-}
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+from bench.checks import reference_critical  # noqa: E402
 
 
 def parse_args(argv=None):
@@ -36,6 +35,7 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    reference_table = reference_critical(ROOT / "tests" / "test_acceptance.py")
     worst = 0.0
     print(f"n={args.n} level={args.level} B={args.replications} "
           f"seed={args.seed} threads={args.threads}")
@@ -48,14 +48,13 @@ def main(argv=None) -> int:
             scheme, args.n, args.level, args.replications,
             seed=args.seed, workers=args.threads,
         )
-        for stat, reference in zip(pg.STAT_NAMES, REFERENCE[name]):
+        for stat in pg.STAT_NAMES:
+            reference = reference_table[name][stat]
             simulated = table.values[stat]
             diff = simulated - reference
             worst = max(worst, abs(diff))
             print(f"{name:8s}{stat:9s}{simulated:10.4f}{reference:10.4f}{diff:+9.4f}")
         if args.out_dir is not None:
-            import pathlib
-
             out_dir = pathlib.Path(args.out_dir)
             out_dir.mkdir(parents=True, exist_ok=True)
             (out_dir / f"{name}.csv").write_text(table.to_csv())

@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from .distributions import DEFAULT_PARAMETER_GRIDS, parse_family, test_general, transform_scheme
-from .errors import CensoringError, FamilySyntaxError
+from .errors import CensoringError, FamilySyntaxError, InvalidSample
 from .gof import STAT_NAMES
 from .montecarlo import (
     CriticalValueTable,
@@ -37,7 +37,7 @@ from .montecarlo import (
 )
 from .sampling import simulate_sample
 from .schemes import (
-    CensoredSample,
+    load_input,
     load_scheme,
     sample_from_csv,
     sample_from_json,
@@ -75,13 +75,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, threads=True):
+    def common(p):
         p.add_argument("--B", type=int, default=20000, dest="replications",
                        help="Monte Carlo replications (default 20000)")
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-        if threads:
-            p.add_argument("--threads", type=int, default=1, dest="workers",
-                           help="worker processes; 0 means one per CPU (default 1)")
+        p.add_argument("--threads", type=int, default=1, dest="workers",
+                       help="worker processes; 0 means one per CPU (default 1)")
         p.add_argument("--out", help="output path; stdout when omitted")
         p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
 
@@ -153,13 +152,6 @@ def _provenance(**fields) -> str:
     return "# " + " ".join(f"{k}={v}" for k, v in fields.items()) + "\n"
 
 
-def _load_sample(path: str) -> CensoredSample:
-    text = Path(path).read_text("utf-8")
-    if path.endswith(".json") or text.lstrip().startswith("{"):
-        return sample_from_json(text)
-    return sample_from_csv(text)
-
-
 def _run_critical_values(ns: argparse.Namespace) -> None:
     scheme = load_scheme(ns.scheme)
     table = critical_values(scheme, ns.n, ns.level, ns.replications, ns.seed, ns.workers)
@@ -217,7 +209,7 @@ def _run_power_curve(ns: argparse.Namespace) -> None:
 
 def _run_test(ns: argparse.Namespace) -> None:
     null = parse_family(ns.null)
-    sample = _load_sample(ns.data)
+    sample = load_input(ns.data, InvalidSample, sample_from_csv, sample_from_json)
     working_scheme = transform_scheme(sample.scheme, null)
     stats = test_general(sample, null)
     pvals = p_value(stats, working_scheme, sample.n, ns.replications, ns.seed, ns.workers)

@@ -9,7 +9,6 @@ the (unchanged) counts on the transformed design.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -22,7 +21,7 @@ from .errors import (
 )
 from .gof import StatisticSet, compute_statistics
 from .reliability import deviations
-from .schemes import CensoredSample, CensoringScheme
+from .schemes import CensoredSample, CensoringScheme, as_real, csv_rows, load_input
 
 FAMILY_KINDS = ("uniform", "lehmann", "centered", "compressed", "custom")
 
@@ -45,8 +44,8 @@ class TabulatedCdf:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        xs = tuple(float(x) for x in self.xs)
-        values = tuple(float(v) for v in self.values)
+        xs = tuple(as_real(x, "x", ParameterOutOfDomain) for x in self.xs)
+        values = tuple(as_real(v, "cdf value", ParameterOutOfDomain) for v in self.values)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "values", values)
         if len(xs) != len(values):
@@ -57,7 +56,7 @@ class TabulatedCdf:
             raise ParameterOutOfDomain("x grid must be strictly increasing")
         if any(b < a for a, b in zip(values, values[1:])):
             raise NonMonotoneCdf("tabulated cdf values must be nondecreasing")
-        if values[0] < 0.0 or values[-1] > 1.0:
+        if not all(0.0 <= v <= 1.0 for v in values):  # also rejects nan
             raise ParameterOutOfDomain("tabulated cdf values must lie in [0, 1]")
 
     def __call__(self, x: float) -> float:
@@ -65,24 +64,9 @@ class TabulatedCdf:
 
     @classmethod
     def from_csv(cls, text: str) -> "TabulatedCdf":
-        """Parse two-column CSV with header ``x,cdf``; ``#`` lines are skipped."""
-        xs = []
-        values = []
-        lines = [
-            ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")
-        ]
-        if not lines or [c.strip() for c in lines[0].split(",")] != ["x", "cdf"]:
-            raise ParameterOutOfDomain("expected header 'x,cdf'")
-        for ln in lines[1:]:
-            parts = ln.split(",")
-            if len(parts) != 2:
-                raise ParameterOutOfDomain(f"expected 2 columns, got {ln!r}")
-            try:
-                xs.append(float(parts[0]))
-                values.append(float(parts[1]))
-            except ValueError:
-                raise ParameterOutOfDomain(f"non-numeric entry in row {ln!r}") from None
-        return cls(tuple(xs), tuple(values))
+        """Parse two-column CSV with header ``x,cdf`` (grammar of :func:`csv_rows`)."""
+        rows = csv_rows(text, ("x", "cdf"), ParameterOutOfDomain)
+        return cls(tuple(x for x, _ in rows), tuple(v for _, v in rows))
 
 
 @dataclass(frozen=True)
@@ -190,7 +174,8 @@ def parse_family(spec: str) -> AlternativeFamily:
     if kind == "table":
         if not arg:
             raise FamilySyntaxError("table form is 'table:<csv path>'")
-        return AlternativeFamily("custom", table=TabulatedCdf.from_csv(Path(arg).read_text("utf-8")))
+        table = load_input(arg, ParameterOutOfDomain, TabulatedCdf.from_csv)
+        return AlternativeFamily("custom", table=table)
     if kind in ("lehmann", "centered", "compressed"):
         try:
             value = float(arg)

@@ -14,17 +14,25 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .distributions import UNIFORM, AlternativeFamily
-from .errors import CensoringError, InvalidN, ParameterOutOfDomain, SchemeMismatch
+from .errors import InvalidN, ParameterOutOfDomain, SchemeMismatch
 from .gof import STAT_NAMES, StatisticSet, fold_deviations
 from .reliability import survival_values
 from .sampling import Cdf, draw_counts, interval_failure_probs
-from .schemes import CensoringScheme, scheme_id, validate_scheme
+from .schemes import (
+    MAX_N,
+    CensoringScheme,
+    as_int,
+    as_real,
+    csv_rows,
+    load_input,
+    scheme_id,
+    validate_scheme,
+)
 
 #: Replications per dispatch unit.  Fixed, so the chunk layout never depends
 #: on the worker count.
@@ -36,6 +44,8 @@ POWER_CSV_HEADER = "family,param,stat,power,stderr"
 
 def derive_stream(seed: int, index: int) -> np.random.Generator:
     """The independent random stream used for replication ``index`` of a run."""
+    if not 0 <= seed < 2**64:
+        raise ParameterOutOfDomain(f"seed must be an integer in [0, 2**64), got {seed}")
     return np.random.Generator(np.random.Philox(key=(seed, index)))
 
 
@@ -74,18 +84,13 @@ def replicated_statistics(
     satisfy t_m < 1.  Row order follows the replication index regardless of
     ``workers`` (0 means one worker per CPU).
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidN(f"sample size must be a positive integer, got {n!r}")
-    if replications < 1:
-        raise ParameterOutOfDomain(f"need at least one replication, got {replications}")
-    if not 0 <= seed < 2**64:
-        raise ParameterOutOfDomain(f"seed must be an integer in [0, 2**64), got {seed}")
+    n = as_int(n, "sample size", InvalidN, 1, MAX_N)
+    replications = as_int(replications, "replications", ParameterOutOfDomain, 1)
     if scheme.times[-1] >= 1.0:
         raise ParameterOutOfDomain(
             "uniformity statistics need the final inspection time below 1, "
             f"got {scheme.times[-1]!r}"
         )
-    n = int(n)
     probs = interval_failure_probs(scheme, model)
     null_survival = tuple(1.0 - UNIFORM(t) for t in scheme.inspection_times)
     chunks = [
@@ -141,55 +146,43 @@ class CriticalValueTable:
 
     @classmethod
     def from_csv(cls, text: str) -> "CriticalValueTable":
-        lines = [
-            ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")
-        ]
-        if not lines or lines[0].strip() != TABLE_CSV_HEADER:
-            raise SchemeMismatch(f"expected header '{TABLE_CSV_HEADER}'")
-        if len(lines) != 2:
+        rows = csv_rows(text, TABLE_CSV_HEADER.split(","), SchemeMismatch)
+        if len(rows) != 1:
             raise SchemeMismatch("expected exactly one table row")
-        cells = lines[1].split(",")
-        if len(cells) != 11:
-            raise SchemeMismatch(f"expected 11 columns, got {len(cells)}")
-        try:
-            return cls(
-                scheme_id=cells[0].strip(),
-                n=int(cells[1]),
-                level=float(cells[2]),
-                replications=int(cells[3]),
-                seed=int(cells[4]),
-                values={name: float(cells[5 + j]) for j, name in enumerate(STAT_NAMES)},
-            )
-        except ValueError:
-            raise SchemeMismatch(f"non-numeric entry in table row {lines[1]!r}") from None
+        sid, n, level, b, seed, *values = rows[0]
+        return cls._from_dict({
+            "scheme_id": sid, "n": n, "level": level, "B": b, "seed": seed,
+            "critical_values": dict(zip(STAT_NAMES, values)),
+        })
 
     @classmethod
     def from_json(cls, text: str) -> "CriticalValueTable":
-        obj = json.loads(text)
+        return cls._from_dict(json.loads(text))
+
+    @classmethod
+    def _from_dict(cls, obj) -> "CriticalValueTable":
         try:
             scheme = None
             if "scheme" in obj:
                 scheme = validate_scheme(obj["scheme"]["times"], obj["scheme"]["percentages"])
             return cls(
                 scheme_id=obj["scheme_id"],
-                n=int(obj["n"]),
-                level=float(obj["level"]),
-                replications=int(obj["B"]),
-                seed=int(obj["seed"]),
-                values={name: float(obj["critical_values"][name]) for name in STAT_NAMES},
+                n=as_int(obj["n"], "n", SchemeMismatch, 1, MAX_N),
+                level=as_real(obj["level"], "level", SchemeMismatch),
+                replications=as_int(obj["B"], "B", SchemeMismatch, 1),
+                seed=as_int(obj["seed"], "seed", SchemeMismatch, 0, 2**64),
+                values={
+                    name: as_real(obj["critical_values"][name], name, SchemeMismatch)
+                    for name in STAT_NAMES
+                },
                 scheme=scheme,
             )
-        except CensoringError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemeMismatch(f"malformed critical value JSON: {exc!r}") from None
+        except (KeyError, TypeError) as exc:
+            raise SchemeMismatch(f"malformed critical value table: {exc!r}") from None
 
     @classmethod
-    def load(cls, path: str | Path) -> "CriticalValueTable":
-        text = Path(path).read_text("utf-8")
-        if text.lstrip().startswith("{"):
-            return cls.from_json(text)
-        return cls.from_csv(text)
+    def load(cls, path: str | os.PathLike) -> "CriticalValueTable":
+        return load_input(path, SchemeMismatch, cls.from_csv, cls.from_json)
 
 
 def critical_values(

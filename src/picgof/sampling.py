@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidN, NonMonotoneCdf
-from .schemes import CensoredSample, CensoringScheme
+from .schemes import MAX_N, CensoredSample, CensoringScheme, as_int
 
 #: A lifetime CDF evaluated pointwise; must be nondecreasing over the
 #: inspection times.
@@ -85,8 +85,7 @@ def simulate_sample(
     The draw consumes ``rng`` sequentially, so the same generator state and
     arguments always reproduce the same sample.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidN(f"sample size must be a positive integer, got {n!r}")
+    n = as_int(n, "sample size", InvalidN, 1, MAX_N)
     probs = interval_failure_probs(scheme, cdf)
-    failures, removals = draw_counts(int(n), probs, scheme.percentages, rng)
-    return CensoredSample(scheme, int(n), tuple(failures), tuple(removals))
+    failures, removals = draw_counts(n, probs, scheme.percentages, rng)
+    return CensoredSample(scheme, n, tuple(failures), tuple(removals))

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -23,6 +23,7 @@ from .errors import (
     LastPercentageNotOne,
     LengthMismatch,
     NonIncreasingTimes,
+    ParameterOutOfDomain,
     PercentageOutOfRange,
 )
 
@@ -30,6 +31,9 @@ from .errors import (
 BUNDLED_SCHEME_NAMES = ("t1p1", "t1p2", "t2p1", "t2p2")
 
 SAMPLE_CSV_HEADER = "t_i,x_i,r_i"
+
+#: Exclusive bound on a sample size: every count fits the int64 binomial draws.
+MAX_N = 2**63
 
 
 @dataclass(frozen=True)
@@ -45,8 +49,8 @@ class CensoringScheme:
     percentages: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        times = tuple(float(t) for t in self.times)
-        pct = tuple(float(p) for p in self.percentages)
+        times = tuple(as_real(t, "inspection time", ParameterOutOfDomain) for t in self.times)
+        pct = tuple(as_real(p, "percentage", ParameterOutOfDomain) for p in self.percentages)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "percentages", pct)
         if len(times) < 2:
@@ -104,8 +108,8 @@ class CensoredSample:
     removals: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        failures = tuple(_as_count(x, "failure") for x in self.failures)
-        removals = tuple(_as_count(r, "removal") for r in self.removals)
+        failures = tuple(as_int(x, "failure count", InvalidSample) for x in self.failures)
+        removals = tuple(as_int(r, "removal count", InvalidSample) for r in self.removals)
         object.__setattr__(self, "failures", failures)
         object.__setattr__(self, "removals", removals)
         m = self.scheme.m
@@ -114,13 +118,7 @@ class CensoredSample:
                 f"scheme has {m} inspections but got {len(failures)} failure "
                 f"and {len(removals)} removal counts"
             )
-        try:
-            valid_n = not isinstance(self.n, bool) and self.n == int(self.n) and self.n >= 1
-        except (TypeError, ValueError, OverflowError):
-            valid_n = False
-        if not valid_n:
-            raise InvalidSample(f"n must be a positive integer, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", as_int(self.n, "n", InvalidSample, 1, MAX_N))
         at_risk = self.n
         for i, (x, r) in enumerate(zip(failures, removals), start=1):
             survivors = at_risk - x
@@ -136,16 +134,6 @@ class CensoredSample:
                 f"failures and removals must account for all {self.n} units, "
                 f"{at_risk} left unresolved"
             )
-
-
-def _as_count(value, what: str) -> int:
-    try:
-        ok = not isinstance(value, bool) and value == int(value) and value >= 0
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
-        raise InvalidSample(f"{what} counts must be nonnegative integers, got {value!r}")
-    return int(value)
 
 
 def scheme_id(scheme: CensoringScheme) -> str:
@@ -171,22 +159,17 @@ def scheme_to_json(scheme: CensoringScheme) -> str:
 def scheme_from_json(text: str) -> CensoringScheme:
     obj = json.loads(text)
     try:
-        times = obj["times"]
-        percentages = obj["percentages"]
+        return validate_scheme(obj["times"], obj["percentages"])
     except (TypeError, KeyError) as exc:
-        raise InvalidSample(f"scheme JSON needs 'times' and 'percentages': {exc}") from None
-    if not isinstance(times, list) or not isinstance(percentages, list):
-        raise InvalidSample("scheme JSON 'times' and 'percentages' must be lists")
-    return validate_scheme(times, percentages)
+        raise InvalidSample(f"scheme JSON needs 'times' and 'percentages' lists: {exc}") from None
 
 
 def load_scheme(spec: str) -> CensoringScheme:
     """Load a scheme by bundled name (see BUNDLED_SCHEME_NAMES) or JSON file path."""
     if spec in BUNDLED_SCHEME_NAMES:
-        text = resources.files("picgof").joinpath(f"data/{spec}.json").read_text("utf-8")
-    else:
-        text = Path(spec).read_text("utf-8")
-    return scheme_from_json(text)
+        bundled = resources.files("picgof") / "data" / f"{spec}.json"
+        return scheme_from_json(bundled.read_text("utf-8"))
+    return load_input(spec, InvalidSample, scheme_from_json)
 
 
 def sample_to_json(sample: CensoredSample) -> str:
@@ -228,31 +211,14 @@ def sample_from_csv(text: str) -> CensoredSample:
     The total ``n`` is the sum of all counts.  Withdrawal percentages are not
     part of the format; they are inferred as r_i divided by the survivor
     count at inspection i (1 for the final inspection), which reproduces the
-    observed removals exactly.  Lines starting with ``#`` are ignored.
+    observed removals exactly.  The grammar is that of :func:`csv_rows`.
     """
-    rows = [
-        row
-        for row in csv.reader(io.StringIO(text))
-        if row and not row[0].lstrip().startswith("#")
-    ]
-    if not rows or [c.strip() for c in rows[0]] != SAMPLE_CSV_HEADER.split(","):
-        raise InvalidSample(f"expected header '{SAMPLE_CSV_HEADER}'")
-    times = [0.0]
-    failures: list[int] = []
-    removals: list[int] = []
-    for row in rows[1:]:
-        if len(row) != 3:
-            raise InvalidSample(f"expected 3 columns per row, got {row!r}")
-        try:
-            times.append(float(row[0]))
-            failures.append(_as_count(float(row[1]), "failure"))
-            removals.append(_as_count(float(row[2]), "removal"))
-        except ValueError as exc:
-            if isinstance(exc, InvalidSample):
-                raise
-            raise InvalidSample(f"non-numeric entry in row {row!r}") from None
-    if not failures:
+    rows = csv_rows(text, SAMPLE_CSV_HEADER.split(","), InvalidSample)
+    if not rows:
         raise InvalidSample("no data rows")
+    times = [0.0] + [t for t, _, _ in rows]
+    failures = [as_int(x, "failure count", InvalidSample) for _, x, _ in rows]
+    removals = [as_int(r, "removal count", InvalidSample) for _, _, r in rows]
     n = sum(failures) + sum(removals)
     percentages = _infer_percentages(n, failures, removals)
     scheme = validate_scheme(times, percentages)
@@ -262,14 +228,77 @@ def sample_from_csv(text: str) -> CensoredSample:
 def _infer_percentages(n: int, failures: list[int], removals: list[int]) -> list[float]:
     pct = []
     at_risk = n
-    last = len(failures) - 1
-    for i, (x, r) in enumerate(zip(failures, removals)):
+    for x, r in zip(failures, removals):
         survivors = at_risk - x
-        if i == last:
-            pct.append(1.0)
-        elif survivors > 0:
-            pct.append(r / survivors)
-        else:
-            pct.append(0.0)
+        pct.append(r / survivors if survivors > 0 else 0.0)
         at_risk = survivors - r
+    pct[-1] = 1.0
     return pct
+
+
+# ---------------------------------------------------------------------------
+# outside input: one file read, one CSV grammar and one number rule
+
+
+def load_input(path, error, parse, parse_json=None):
+    """Parse a UTF-8 file with ``parse``, or with ``parse_json`` when one is given
+    and the file's first non-blank character is ``{``.  A file that is not UTF-8
+    raises ``error``."""
+    try:
+        text = Path(path).read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    if parse_json is not None and text.lstrip().startswith("{"):
+        return parse_json(text)
+    return parse(text)
+
+
+def csv_rows(text: str, header, error) -> list[list]:
+    """The data rows of a CSV text.
+
+    Blank lines and lines starting with ``#`` are skipped.  The first line
+    left must equal ``header`` and every later one must be as wide, or
+    ``error`` is raised.  Cells are trimmed of spaces; a data cell that
+    ``int()`` reads becomes an ``int``, so long integers stay exact, one that
+    ``float()`` reads becomes a ``float``, and any other stays text.
+    """
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
+    try:
+        rows = [[cell.strip() for cell in row] for row in csv.reader(lines)]
+    except csv.Error as exc:
+        raise error(f"unreadable CSV: {exc}") from None
+    if not rows or rows[0] != list(header):
+        raise error(f"expected header '{','.join(header)}'")
+    for row in rows[1:]:
+        if len(row) != len(header):
+            raise error(f"expected {len(header)} columns per row, got {row!r}")
+    return [[_number(cell) for cell in row] for row in rows[1:]]
+
+
+def _number(cell: str) -> int | float | str:
+    for parse in (int, float):
+        try:
+            return parse(cell)
+        except ValueError:
+            pass
+    return cell
+
+
+def as_int(value, what: str, error, low: int = 0, high: float = math.inf) -> int:
+    """``value`` as an ``int`` in [low, high): integral, not a ``bool`` or text."""
+    try:
+        if not isinstance(value, bool) and value == int(value) and low <= value < high:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"{what} must be an integer in [{low}, {high}), got {value!r}")
+
+
+def as_real(value, what: str, error) -> float:
+    """``value`` as a ``float``: a real number, not a ``bool`` or text."""
+    try:
+        if not isinstance(value, (bool, str, bytes)):
+            return float(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"{what} must be a real number, got {value!r}")

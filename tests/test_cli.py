@@ -1,8 +1,18 @@
 """Command line behavior: formats, round trips, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import os
+import re
+import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_cli_golden import CASES, GOLDEN_DIR
 
 import picgof as pg
 from picgof.cli import main
@@ -102,6 +112,15 @@ class TestSimulateAndTest:
         assert set(obj["statistics"]) == set(pg.STAT_NAMES)
         assert set(obj["p_values"]) == set(pg.STAT_NAMES)
         assert obj["null"] == "uniform"
+
+    def test_whitespace_only_line_is_skipped(self, capsys, tmp_path):
+        plain = tmp_path / "plain.csv"
+        spaced = tmp_path / "spaced.csv"
+        plain.write_text("t_i,x_i,r_i\n0.25,1,3\n0.5,0,2\n")
+        spaced.write_text("t_i,x_i,r_i\n0.25,1,3\n   \n0.5,0,2\n")
+        code, out, _ = run(capsys, "test", "--data", str(plain), "--B", "50")
+        assert code == 0
+        assert run(capsys, "test", "--data", str(spaced), "--B", "50")[:2] == (code, out)
 
     def test_nonuniform_null_transforms_times(self, capsys, tmp_path):
         path = tmp_path / "zeros.csv"
@@ -259,6 +278,14 @@ BAD_INPUTS = {
     "cv_type.json": json.dumps(
         {"scheme_id": "x", "n": [15], "level": 0.05, "B": 400, "seed": 1, "critical_values": {}}
     ),
+    "times_a.json": json.dumps({"times": ["a", 0.5], "percentages": [0.5, 1.0]}),
+    # a table that matches t1p1 at n = 15 except that its n is not an integer
+    "cv_n_frac.json": (GOLDEN_DIR / "cv.json").read_text("utf-8").replace('"n": 15,', '"n": 15.7,'),
+    # one byte that is not UTF-8 in each kind of input file
+    "latin1_scheme.json": b'{"times": [0.0, 0.5], "percentages": [1.0]} \xff',
+    "latin1_sample.csv": b"t_i,x_i,r_i\n0.25,1,3\n0.5,0,2 \xe9\n",
+    "latin1_cv.csv": (GOLDEN_DIR / "cv.csv").read_bytes() + b"# \xff\n",
+    "latin1_f0.csv": b"x,cdf\n0.0,0.0\n1.0,1.0\xff\n",
 }
 
 CV = ("critical-values", "--scheme", "t1p1", "--n", "10", "--B", "20")
@@ -285,18 +312,76 @@ class TestErrorBoundary:
             (*POWER, "--critical", "cv_text.csv"),
             (*POWER, "--critical", "cv_nokey.json"),
             (*POWER, "--critical", "cv_type.json"),
+            ("critical-values", "--scheme", "times_a.json", "--B", "20"),
+            (*POWER, "--critical", "cv_n_frac.json"),
+            ("critical-values", "--scheme", "latin1_scheme.json", "--B", "20"),
+            ("test", "--data", "latin1_sample.csv", "--B", "20"),
+            (*POWER, "--critical", "latin1_cv.csv"),
+            ("test", "--data", "ok.csv", "--null", "table:latin1_f0.csv", "--B", "20"),
+            ("simulate", "--scheme", "t1p1", "--seed", "-1"),
+            ("simulate", "--scheme", "t1p1", "--n", "99999999999999999999"),
         ],
         ids=" ".join,
     )
     def test_exits_2_with_one_line(self, capsys, tmp_path, monkeypatch, argv):
-        for name, text in BAD_INPUTS.items():
-            (tmp_path / name).write_text(text)
+        for name, content in BAD_INPUTS.items():
+            if isinstance(content, str):
+                content = content.encode("utf-8")
+            (tmp_path / name).write_bytes(content)
         monkeypatch.chdir(tmp_path)
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert err.startswith("error:")
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+
+#: Replacement cells for the fuzz test: empty, text, signs, extremes, JSON literals.
+CELLS = (b"", b"x", b"-1", b"0", b"3.0", b"1e400", b"nan", b"99999999999999999999",
+         b"true", b"null", b'"7"', b"[]", b"{}", b"#")
+INPUT_FILES = sorted(p.name for p in GOLDEN_DIR.iterdir() if p.name != "cli.json")
+
+
+def _reading(name):
+    """The first golden argv that reads file ``name``, with B cut to 20."""
+    argv = list(next(a for a in CASES if name in a or f"table:{name}" in a))
+    if "--B" in argv:
+        i = argv.index("--B")
+        del argv[i:i + 2]
+    return [*argv, "--B", "20"]
+
+
+@st.composite
+def corrupted_inputs(draw):
+    """One golden input file with one byte or one cell replaced."""
+    name = draw(st.sampled_from(INPUT_FILES))
+    data = (GOLDEN_DIR / name).read_bytes()
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(data) - 1))
+        return name, data[:i] + bytes([draw(st.integers(0, 255))]) + data[i + 1:]
+    a, b = draw(st.sampled_from([m.span() for m in re.finditer(rb"[^,\n{}\[\]:]+", data)]))
+    return name, data[:a] + draw(st.sampled_from(CELLS)) + data[b:]
+
+
+class TestCorruptedInputs:
+    @settings(max_examples=150, deadline=None)
+    @given(corrupted_inputs())
+    def test_exit_code_without_traceback(self, corruption):
+        name, data = corruption
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            for other in INPUT_FILES:
+                shutil.copy(GOLDEN_DIR / other, tmp)
+            (Path(tmp) / name).write_bytes(data)
+            out, err = io.StringIO(), io.StringIO()
+            os.chdir(tmp)
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(_reading(name))
+            finally:
+                os.chdir(cwd)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestOutputPaths:

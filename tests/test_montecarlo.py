@@ -1,5 +1,6 @@
 """Monte Carlo engine: determinism, order statistics, p-values, power."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -118,6 +119,10 @@ class TestTableSerialization:
             table.level,
         )
         assert (again.replications, again.seed) == (table.replications, table.seed)
+
+    def test_csv_keeps_a_20_digit_seed_exact(self, table):
+        wide = dataclasses.replace(table, seed=2**64 - 1)
+        assert pg.CriticalValueTable.from_csv(wide.to_csv()).seed == 2**64 - 1
 
     def test_json_round_trip_keeps_scheme(self, table):
         again = pg.CriticalValueTable.from_json(table.to_json())

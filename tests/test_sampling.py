@@ -90,7 +90,7 @@ class TestSimulateSample:
         assert a == b
         assert a != c
 
-    @pytest.mark.parametrize("n", [0, -1, 2.5, True])
+    @pytest.mark.parametrize("n", [0, -1, 2.5, True, 2**63])
     def test_rejects_bad_n(self, n):
         with pytest.raises(pg.InvalidN):
             pg.simulate_sample(T1P1, n, pg.UNIFORM, pg.derive_stream(0, 0))
