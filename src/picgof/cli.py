@@ -128,37 +128,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_out(out: str | None) -> Path | None:
-    if out is None:
-        return None
-    path = Path(out)
-    if not path.is_absolute():
-        base = os.environ.get(OUT_DIR_ENV)
-        if base:
-            path = Path(base) / path
-    return path
+def _write(ns: argparse.Namespace, head: dict, rows: str, payload: dict) -> None:
+    """Write one result to ``--out`` or, without it, to stdout.
 
-
-def _emit(text: str, out: str | None) -> None:
-    path = _resolve_out(out)
-    if path is None:
-        sys.stdout.write(text)
+    JSON is one object, ``head`` followed by ``payload``.  CSV is a
+    ``# key=value`` provenance line made from ``head`` (``scheme_id`` is
+    written ``scheme``; no line when ``head`` is empty) followed by ``rows``.
+    """
+    if ns.fmt == "json":
+        text = json.dumps({**head, **payload}) + "\n"
     else:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
-
-
-def _provenance(**fields) -> str:
-    return "# " + " ".join(f"{k}={v}" for k, v in fields.items()) + "\n"
+        fields = " ".join(f"{'scheme' if k == 'scheme_id' else k}={v}" for k, v in head.items())
+        text = (f"# {fields}\n" if head else "") + rows
+    if ns.out is None:
+        sys.stdout.write(text)
+        return
+    path = Path(ns.out)
+    if not path.is_absolute() and os.environ.get(OUT_DIR_ENV):
+        path = Path(os.environ[OUT_DIR_ENV]) / path
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
 
 
 def _run_critical_values(ns: argparse.Namespace) -> None:
     scheme = load_scheme(ns.scheme)
     table = critical_values(scheme, ns.n, ns.level, ns.replications, ns.seed, ns.workers)
-    if ns.fmt == "json":
-        _emit(table.to_json() + "\n", ns.out)
-    else:
-        _emit(table.to_csv(), ns.out)
+    # the table carries its own provenance in both formats
+    _write(ns, {}, table.to_csv(), json.loads(table.to_json()))
 
 
 def _run_power(ns: argparse.Namespace) -> None:
@@ -166,20 +162,15 @@ def _run_power(ns: argparse.Namespace) -> None:
     scheme = load_scheme(ns.scheme)
     table = CriticalValueTable.load(ns.critical)
     est = power(scheme, ns.n, table, alternative, ns.replications, ns.seed, ns.workers)
-    header = _provenance(
-        scheme=scheme_id(scheme), n=ns.n, level=table.level,
-        B=ns.replications, seed=ns.seed, alt=ns.alt,
-    )
-    if ns.fmt == "json":
-        obj = {
-            "scheme_id": scheme_id(scheme), "n": ns.n, "level": table.level,
-            "B": ns.replications, "seed": ns.seed,
-            "family": est.family, "parameter": est.parameter,
-            "power": est.power, "stderr": est.stderr,
-        }
-        _emit(json.dumps(obj) + "\n", ns.out)
-    else:
-        _emit(header + power_estimates_to_csv([est]), ns.out)
+    head = {"scheme_id": scheme_id(scheme), "n": ns.n, "level": table.level,
+            "B": ns.replications, "seed": ns.seed}
+    # CSV names the alternative by its spec; JSON by the payload's family and parameter
+    if ns.fmt == "csv":
+        head["alt"] = ns.alt
+    _write(ns, head, power_estimates_to_csv([est]), {
+        "family": est.family, "parameter": est.parameter,
+        "power": est.power, "stderr": est.stderr,
+    })
 
 
 def _run_power_curve(ns: argparse.Namespace) -> None:
@@ -189,22 +180,11 @@ def _run_power_curve(ns: argparse.Namespace) -> None:
     estimates = power_curve(
         scheme, ns.n, table, ns.family, grid, ns.replications, ns.seed, ns.workers
     )
-    header = _provenance(
-        scheme=scheme_id(scheme), n=ns.n, level=table.level,
-        B=ns.replications, seed=ns.seed, family=ns.family,
-    )
-    if ns.fmt == "json":
-        obj = {
-            "scheme_id": scheme_id(scheme), "n": ns.n, "level": table.level,
-            "B": ns.replications, "seed": ns.seed, "family": ns.family,
-            "points": [
-                {"parameter": e.parameter, "power": e.power, "stderr": e.stderr}
-                for e in estimates
-            ],
-        }
-        _emit(json.dumps(obj) + "\n", ns.out)
-    else:
-        _emit(header + power_estimates_to_csv(estimates), ns.out)
+    head = {"scheme_id": scheme_id(scheme), "n": ns.n, "level": table.level,
+            "B": ns.replications, "seed": ns.seed, "family": ns.family}
+    _write(ns, head, power_estimates_to_csv(estimates), {"points": [
+        {"parameter": e.parameter, "power": e.power, "stderr": e.stderr} for e in estimates
+    ]})
 
 
 def _run_test(ns: argparse.Namespace) -> None:
@@ -213,34 +193,21 @@ def _run_test(ns: argparse.Namespace) -> None:
     working_scheme = transform_scheme(sample.scheme, null)
     stats = test_general(sample, null)
     pvals = p_value(stats, working_scheme, sample.n, ns.replications, ns.seed, ns.workers)
-    if ns.fmt == "json":
-        obj = {
-            "scheme_id": scheme_id(working_scheme), "n": sample.n,
-            "null": ns.null, "B": ns.replications, "seed": ns.seed,
-            "statistics": stats.as_dict(), "p_values": pvals,
-        }
-        _emit(json.dumps(obj) + "\n", ns.out)
-    else:
-        lines = [
-            _provenance(
-                scheme=scheme_id(working_scheme), n=sample.n, null=ns.null,
-                B=ns.replications, seed=ns.seed,
-            ).rstrip("\n"),
-            "kind," + ",".join(STAT_NAMES),
-            "statistic," + ",".join(repr(v) for v in stats.as_tuple()),
-            "p_value," + ",".join(repr(pvals[name]) for name in STAT_NAMES),
-        ]
-        _emit("\n".join(lines) + "\n", ns.out)
+    head = {"scheme_id": scheme_id(working_scheme), "n": sample.n, "null": ns.null,
+            "B": ns.replications, "seed": ns.seed}
+    rows = [
+        "kind," + ",".join(STAT_NAMES),
+        "statistic," + ",".join(repr(v) for v in stats.as_tuple()),
+        "p_value," + ",".join(repr(pvals[name]) for name in STAT_NAMES),
+    ]
+    _write(ns, head, "\n".join(rows) + "\n", {"statistics": stats.as_dict(), "p_values": pvals})
 
 
 def _run_simulate(ns: argparse.Namespace) -> None:
     model = parse_family(ns.alt)
     scheme = load_scheme(ns.scheme)
     sample = simulate_sample(scheme, ns.n, model, derive_stream(ns.seed, 0))
-    if ns.fmt == "json":
-        _emit(sample_to_json(sample) + "\n", ns.out)
-    else:
-        _emit(sample_to_csv(sample), ns.out)
+    _write(ns, {}, sample_to_csv(sample), json.loads(sample_to_json(sample)))
     print(
         f"simulate: scheme={scheme_id(scheme)} n={ns.n} alt={ns.alt} seed={ns.seed}",
         file=sys.stderr,
@@ -256,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, FamilySyntaxError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (CensoringError, OSError, json.JSONDecodeError) as exc:
+    except (CensoringError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import EmptyDeviationVector, SchemeMismatch
-from .schemes import CensoringScheme, scheme_id
+from .errors import EmptyDeviationVector
+from .schemes import CensoringScheme
 
 if TYPE_CHECKING:
     from .montecarlo import CriticalValueTable
@@ -71,14 +71,9 @@ def reject(
 
     Rejection requires strict exceedance: an observed value exactly equal to
     its critical value does not reject.  Pass ``scheme`` and/or ``n`` to have
-    them checked against the table's provenance; a mismatch raises
+    them checked by :meth:`CriticalValueTable.check_design`; a mismatch raises
     :class:`SchemeMismatch` instead of silently comparing across designs.
     """
-    if n is not None and n != critical.n:
-        raise SchemeMismatch(f"table was computed for n = {critical.n}, data has n = {n}")
-    if scheme is not None and scheme_id(scheme) != critical.scheme_id:
-        raise SchemeMismatch(
-            f"table was computed for scheme {critical.scheme_id}, got {scheme_id(scheme)}"
-        )
+    critical.check_design(scheme, n)
     obs = observed.as_dict()
     return {name: obs[name] > critical.values[name] for name in STAT_NAMES}

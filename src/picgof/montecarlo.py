@@ -30,6 +30,7 @@ from .schemes import (
     as_real,
     csv_rows,
     load_input,
+    scheme_fields,
     scheme_id,
     validate_scheme,
 )
@@ -138,11 +139,18 @@ class CriticalValueTable:
             "critical_values": {name: self.values[name] for name in STAT_NAMES},
         }
         if self.scheme is not None:
-            obj["scheme"] = {
-                "times": list(self.scheme.times),
-                "percentages": list(self.scheme.percentages),
-            }
+            obj["scheme"] = scheme_fields(self.scheme)
         return json.dumps(obj)
+
+    def check_design(self, scheme: CensoringScheme | None = None, n: int | None = None) -> None:
+        """Raise :class:`SchemeMismatch` unless the table was computed for
+        ``scheme`` and ``n``; an argument left as None is not checked."""
+        if n is not None and n != self.n:
+            raise SchemeMismatch(f"table was computed for n = {self.n}, got n = {n}")
+        if scheme is not None and scheme_id(scheme) != self.scheme_id:
+            raise SchemeMismatch(
+                f"table was computed for scheme {self.scheme_id}, got {scheme_id(scheme)}"
+            )
 
     @classmethod
     def from_csv(cls, text: str) -> "CriticalValueTable":
@@ -269,12 +277,7 @@ def power(
     standard error sqrt(f (1 - f) / B) is reported per statistic.  The table
     must have been computed for the same scheme and n.
     """
-    if critical.n != n:
-        raise SchemeMismatch(f"table was computed for n = {critical.n}, got n = {n}")
-    if critical.scheme_id != scheme_id(scheme):
-        raise SchemeMismatch(
-            f"table was computed for scheme {critical.scheme_id}, got {scheme_id(scheme)}"
-        )
+    critical.check_design(scheme, n)
     stats = replicated_statistics(scheme, n, alternative, seed, replications, workers)
     freq = {}
     err = {}

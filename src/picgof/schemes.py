@@ -18,6 +18,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import (
+    CensoringError,
     FirstTimeNotZero,
     InvalidSample,
     LastPercentageNotOne,
@@ -141,10 +142,7 @@ def scheme_id(scheme: CensoringScheme) -> str:
 
     Used to tie critical value tables to the design they were computed for.
     """
-    payload = json.dumps(
-        {"times": list(scheme.times), "percentages": list(scheme.percentages)},
-        separators=(",", ":"),
-    )
+    payload = json.dumps(scheme_fields(scheme), separators=(",", ":"))
     return "s" + hashlib.sha256(payload.encode("utf-8")).hexdigest()[:10]
 
 
@@ -152,8 +150,13 @@ def scheme_id(scheme: CensoringScheme) -> str:
 # serialization
 
 
+def scheme_fields(scheme: CensoringScheme) -> dict[str, list[float]]:
+    """The JSON encoding of a scheme: its ``times`` and ``percentages`` lists."""
+    return {"times": list(scheme.times), "percentages": list(scheme.percentages)}
+
+
 def scheme_to_json(scheme: CensoringScheme) -> str:
-    return json.dumps({"times": list(scheme.times), "percentages": list(scheme.percentages)})
+    return json.dumps(scheme_fields(scheme))
 
 
 def scheme_from_json(text: str) -> CensoringScheme:
@@ -175,8 +178,7 @@ def load_scheme(spec: str) -> CensoringScheme:
 def sample_to_json(sample: CensoredSample) -> str:
     return json.dumps(
         {
-            "times": list(sample.scheme.times),
-            "percentages": list(sample.scheme.percentages),
+            **scheme_fields(sample.scheme),
             "n": sample.n,
             "failures": list(sample.failures),
             "removals": list(sample.removals),
@@ -211,7 +213,8 @@ def sample_from_csv(text: str) -> CensoredSample:
     The total ``n`` is the sum of all counts.  Withdrawal percentages are not
     part of the format; they are inferred as r_i divided by the survivor
     count at inspection i (1 for the final inspection), which reproduces the
-    observed removals exactly.  The grammar is that of :func:`csv_rows`.
+    observed removals exactly below about 3.5e7 survivors.  The grammar is
+    that of :func:`csv_rows`.
     """
     rows = csv_rows(text, SAMPLE_CSV_HEADER.split(","), InvalidSample)
     if not rows:
@@ -242,15 +245,24 @@ def _infer_percentages(n: int, failures: list[int], removals: list[int]) -> list
 
 def load_input(path, error, parse, parse_json=None):
     """Parse a UTF-8 file with ``parse``, or with ``parse_json`` when one is given
-    and the file's first non-blank character is ``{``.  A file that is not UTF-8
-    raises ``error``."""
+    and the file's first non-blank character is ``{``.
+
+    A file that is not UTF-8 raises ``error``, and so does any other
+    ``ValueError`` or ``RecursionError`` of the parse: invalid JSON, an integer
+    too long to convert, or nesting too deep for the decoder.
+    """
     try:
         text = Path(path).read_text("utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     if parse_json is not None and text.lstrip().startswith("{"):
-        return parse_json(text)
-    return parse(text)
+        parse = parse_json
+    try:
+        return parse(text)
+    except CensoringError:
+        raise
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{path}: {exc}") from None
 
 
 def csv_rows(text: str, header, error) -> list[list]:

@@ -286,6 +286,9 @@ BAD_INPUTS = {
     "latin1_sample.csv": b"t_i,x_i,r_i\n0.25,1,3\n0.5,0,2 \xe9\n",
     "latin1_cv.csv": (GOLDEN_DIR / "cv.csv").read_bytes() + b"# \xff\n",
     "latin1_f0.csv": b"x,cdf\n0.0,0.0\n1.0,1.0\xff\n",
+    # JSON that json.loads refuses with a plain ValueError or a RecursionError
+    "long_int.json": '{"times": [0.0, ' + "1" * 5000 + '], "percentages": [1.0]}',
+    "deep.json": '{"n": ' + "[" * 100000 + "]" * 100000 + "}",
 }
 
 CV = ("critical-values", "--scheme", "t1p1", "--n", "10", "--B", "20")
@@ -320,6 +323,8 @@ class TestErrorBoundary:
             ("test", "--data", "ok.csv", "--null", "table:latin1_f0.csv", "--B", "20"),
             ("simulate", "--scheme", "t1p1", "--seed", "-1"),
             ("simulate", "--scheme", "t1p1", "--n", "99999999999999999999"),
+            ("critical-values", "--scheme", "long_int.json", "--B", "20"),
+            ("test", "--data", "deep.json", "--B", "20"),
         ],
         ids=" ".join,
     )

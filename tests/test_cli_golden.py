@@ -2,9 +2,11 @@
 
 Every case runs in-process from ``tests/golden``, whose input files
 (samples, a tabulated CDF, critical tables and broken files) the argv name
-by relative path.  Monte Carlo output depends on numpy's binomial sampler,
-so the comparison is skipped under a numpy version other than the one the
-transcript was captured with.
+by relative path.  A case that exits 0 runs a second time with ``--out``,
+which must write the same bytes to the file and nothing to stdout.  Monte
+Carlo output depends on numpy's binomial sampler, so the comparison is
+skipped under a numpy version other than the one the transcript was
+captured with.
 
 Regenerate the transcript (only for a deliberate output change) with
 
@@ -107,7 +109,7 @@ def test_transcript_covers_every_case():
 
 
 @pytest.mark.parametrize("index", range(len(CASES)), ids=lambda i: " ".join(CASES[i]) or "<none>")
-def test_cli_output_matches_transcript(index, monkeypatch):
+def test_cli_output_matches_transcript(index, monkeypatch, tmp_path):
     golden = _load()
     if golden["numpy"] != np.__version__:
         pytest.skip(f"transcript captured with numpy {golden['numpy']}, running {np.__version__}")
@@ -116,6 +118,10 @@ def test_cli_output_matches_transcript(index, monkeypatch):
     case = golden["cases"][index]
     code, stdout = _run(case["argv"])
     assert (code, stdout) == (case["exit"], case["stdout"])
+    if code == 0:
+        target = tmp_path / "result"
+        assert _run([*case["argv"], "--out", str(target)]) == (0, "")
+        assert target.read_bytes() == case["stdout"].encode("utf-8")
 
 
 if __name__ == "__main__":
