@@ -63,7 +63,6 @@ from .schemes import (
     scheme_from_json,
     scheme_id,
     scheme_to_json,
-    validate_scheme,
 )
 
 __version__ = "0.1.0"
@@ -120,6 +119,5 @@ __all__ = [
     "survival_values",
     "test_general",
     "transform_scheme",
-    "validate_scheme",
     "withdraw_count",
 ]

@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("power-curve", help="power along a parameter grid")
     pc.add_argument("--scheme", required=True)
     pc.add_argument("--n", type=int, default=40)
-    pc.add_argument("--family", required=True, choices=("lehmann", "centered", "compressed"))
+    pc.add_argument("--family", required=True, choices=tuple(DEFAULT_PARAMETER_GRIDS))
     pc.add_argument("--grid", type=_grid,
                     help="comma-separated parameter values (default: built-in grid)")
     pc.add_argument("--critical", required=True)

@@ -23,8 +23,6 @@ from .gof import StatisticSet, compute_statistics
 from .reliability import deviations
 from .schemes import CensoredSample, CensoringScheme, as_real, csv_rows, load_input
 
-FAMILY_KINDS = ("uniform", "lehmann", "centered", "compressed", "custom")
-
 #: Parameter grids used by the power-curve command when none is given.
 DEFAULT_PARAMETER_GRIDS: dict[str, tuple[float, ...]] = {
     "lehmann": tuple(float(a) for a in np.linspace(0.25, 3.0, 21)),
@@ -32,16 +30,21 @@ DEFAULT_PARAMETER_GRIDS: dict[str, tuple[float, ...]] = {
     "compressed": tuple(float(g) for g in np.linspace(0.0, 0.4, 17)),
 }
 
+FAMILY_KINDS = ("uniform", *DEFAULT_PARAMETER_GRIDS)
+
 
 @dataclass(frozen=True)
 class TabulatedCdf:
     """A CDF given on a finite grid, evaluated by monotone linear interpolation.
 
-    Queries outside the grid clamp to the end values.
+    Queries outside the grid clamp to the end values.  As a model it reads
+    like a family: its ``kind`` is ``"custom"`` and it has no ``parameter``.
     """
 
     xs: tuple[float, ...]
     values: tuple[float, ...]
+    kind = "custom"
+    parameter = None
 
     def __post_init__(self) -> None:
         xs = tuple(as_real(x, "x", ParameterOutOfDomain) for x in self.xs)
@@ -80,7 +83,6 @@ class AlternativeFamily:
     - ``centered``: F(x) = (2x)**b / 2 below 1/2, mirrored above; b > 0
       (b > 1 concentrates mass at the center, b < 1 at the edges)
     - ``compressed``: uniform on [g, 1 - g], 0 <= g < 1/2
-    - ``custom``: a :class:`TabulatedCdf` (its own grid governs clamping)
 
     Families evaluate to 0 below their support and 1 above it; the three
     parametric families coincide with the uniform exactly at a = 1, b = 1,
@@ -89,7 +91,6 @@ class AlternativeFamily:
 
     kind: str
     parameter: float | None = None
-    table: TabulatedCdf | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in FAMILY_KINDS:
@@ -99,11 +100,9 @@ class AlternativeFamily:
         if self.parameter is not None:
             object.__setattr__(self, "parameter", float(self.parameter))
         p = self.parameter
-        if self.kind in ("uniform", "custom"):
+        if self.kind == "uniform":
             if p is not None:
-                raise ParameterOutOfDomain(f"{self.kind} takes no parameter, got {p!r}")
-            if self.kind == "custom" and self.table is None:
-                raise ParameterOutOfDomain("custom family needs a table")
+                raise ParameterOutOfDomain(f"uniform takes no parameter, got {p!r}")
         elif self.kind in ("lehmann", "centered"):
             if p is None or not p > 0.0:
                 raise ParameterOutOfDomain(f"{self.kind} parameter must be > 0, got {p!r}")
@@ -112,17 +111,10 @@ class AlternativeFamily:
                 raise ParameterOutOfDomain(
                     f"compressed parameter must lie in [0, 0.5), got {p!r}"
                 )
-        if self.kind != "custom" and self.table is not None:
-            raise ParameterOutOfDomain(f"{self.kind} does not take a table")
 
     def __call__(self, x: float) -> float:
-        """Evaluate the CDF at a point.
-
-        For the parametric families any x outside [0, 1] clamps to the
-        boundary value; a custom table clamps to its own grid instead.
-        """
-        if self.kind == "custom":
-            return self.table(x)
+        """Evaluate the CDF at a point; any x outside [0, 1] clamps to the
+        boundary value."""
         x = float(x)
         if x <= 0.0:
             return 0.0
@@ -144,23 +136,16 @@ class AlternativeFamily:
             return 1.0
         return (x - p) / (1.0 - 2.0 * p)
 
-    def spec(self) -> str:
-        """The string form accepted by :func:`parse_family` (tables excepted)."""
-        if self.kind == "custom":
-            return "custom"
-        if self.parameter is None:
-            return self.kind
-        return f"{self.kind}:{self.parameter!r}"
-
 
 UNIFORM = AlternativeFamily("uniform")
 
 
-def parse_family(spec: str) -> AlternativeFamily:
+def parse_family(spec: str) -> AlternativeFamily | TabulatedCdf:
     """Parse a family spec string.
 
     Accepted forms: ``uniform``, ``lehmann:2.0``, ``centered:0.5``,
-    ``compressed:0.25``, and ``table:<csv path>`` for a tabulated CDF.
+    ``compressed:0.25``, and ``table:<csv path>``, which gives the
+    :class:`TabulatedCdf` read from that file.
     A malformed spec raises :class:`FamilySyntaxError` before any file is
     read; a well-formed one with a parameter outside its family's domain
     raises :class:`ParameterOutOfDomain`.
@@ -174,9 +159,8 @@ def parse_family(spec: str) -> AlternativeFamily:
     if kind == "table":
         if not arg:
             raise FamilySyntaxError("table form is 'table:<csv path>'")
-        table = load_input(arg, ParameterOutOfDomain, TabulatedCdf.from_csv)
-        return AlternativeFamily("custom", table=table)
-    if kind in ("lehmann", "centered", "compressed"):
+        return load_input(arg, ParameterOutOfDomain, TabulatedCdf.from_csv)
+    if kind in DEFAULT_PARAMETER_GRIDS:
         try:
             value = float(arg)
         except ValueError:
@@ -212,10 +196,10 @@ def test_general(sample: CensoredSample, f0: Callable[[float], float]) -> Statis
     """Statistics for testing a sample against an arbitrary fully specified
     continuous model F0.
 
-    Equivalent by construction to the uniformity test on the design re-timed
-    through F0 with the same counts; calibrate critical values or p-values on
-    that transformed design.
+    Equal, bit for bit, to the uniformity test of the same counts on the
+    design re-timed through F0 (:func:`transform_scheme`, which also checks
+    that F0 can re-time it), since 1 - UNIFORM(F0(t)) is 1 - F0(t) there.
+    Calibrate critical values or p-values on that re-timed design.
     """
-    transformed = transform_scheme(sample.scheme, f0)
-    re_timed = CensoredSample(transformed, sample.n, sample.failures, sample.removals)
-    return compute_statistics(deviations(re_timed, UNIFORM))
+    transform_scheme(sample.scheme, f0)
+    return compute_statistics(deviations(sample, f0))

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .distributions import UNIFORM, AlternativeFamily
+from .distributions import UNIFORM, AlternativeFamily, TabulatedCdf
 from .errors import InvalidN, ParameterOutOfDomain, SchemeMismatch
 from .gof import STAT_NAMES, StatisticSet, fold_deviations
 from .reliability import survival_values
@@ -32,7 +32,6 @@ from .schemes import (
     load_input,
     scheme_fields,
     scheme_id,
-    validate_scheme,
 )
 
 #: Replications per dispatch unit.  Fixed, so the chunk layout never depends
@@ -60,14 +59,6 @@ def _statistic_chunk(args) -> np.ndarray:
         d = [e - s for e, s in zip(est, null_survival)]
         out[rep - start] = fold_deviations(d)
     return out
-
-
-def _resolve_workers(workers: int) -> int:
-    if workers == 0:
-        return os.cpu_count() or 1
-    if workers < 0:
-        raise ParameterOutOfDomain(f"workers must be >= 0, got {workers}")
-    return workers
 
 
 def replicated_statistics(
@@ -98,7 +89,7 @@ def replicated_statistics(
         (n, probs, scheme.percentages, null_survival, seed, start, min(start + CHUNK_SIZE, replications))
         for start in range(0, replications, CHUNK_SIZE)
     ]
-    workers = _resolve_workers(workers)
+    workers = as_int(workers, "workers", ParameterOutOfDomain) or os.cpu_count() or 1
     if workers == 1 or len(chunks) == 1:
         parts = [_statistic_chunk(chunk) for chunk in chunks]
     else:
@@ -169,11 +160,16 @@ class CriticalValueTable:
 
     @classmethod
     def _from_dict(cls, obj) -> "CriticalValueTable":
+        """The table of a parsed CSV row or JSON object.
+
+        Its level must lie in (0, 1), its critical values must be finite and
+        its ``scheme``, when present, must be the one ``scheme_id`` names.
+        """
         try:
             scheme = None
             if "scheme" in obj:
-                scheme = validate_scheme(obj["scheme"]["times"], obj["scheme"]["percentages"])
-            return cls(
+                scheme = CensoringScheme(obj["scheme"]["times"], obj["scheme"]["percentages"])
+            table = cls(
                 scheme_id=obj["scheme_id"],
                 n=as_int(obj["n"], "n", SchemeMismatch, 1, MAX_N),
                 level=as_real(obj["level"], "level", SchemeMismatch),
@@ -187,6 +183,16 @@ class CriticalValueTable:
             )
         except (KeyError, TypeError) as exc:
             raise SchemeMismatch(f"malformed critical value table: {exc!r}") from None
+        if not 0.0 < table.level < 1.0:
+            raise SchemeMismatch(f"table level must lie in (0, 1), got {table.level!r}")
+        for name, value in table.values.items():
+            if not math.isfinite(value):
+                raise SchemeMismatch(f"critical value {name} must be finite, got {value!r}")
+        if scheme is not None and scheme_id(scheme) != table.scheme_id:
+            raise SchemeMismatch(
+                f"table scheme_id {table.scheme_id} does not match its scheme, {scheme_id(scheme)}"
+            )
+        return table
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "CriticalValueTable":
@@ -266,7 +272,7 @@ def power(
     scheme: CensoringScheme,
     n: int,
     critical: CriticalValueTable,
-    alternative: AlternativeFamily,
+    alternative: AlternativeFamily | TabulatedCdf,
     replications: int = 20000,
     seed: int = 0,
     workers: int = 1,

@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 from .errors import (
@@ -86,14 +85,6 @@ class CensoringScheme:
         return self.times[1:]
 
 
-def validate_scheme(times, percentages) -> CensoringScheme:
-    """Build a validated scheme from raw sequences.
-
-    Idempotent: feeding a scheme's own fields back reproduces an equal scheme.
-    """
-    return CensoringScheme(tuple(times), tuple(percentages))
-
-
 @dataclass(frozen=True)
 class CensoredSample:
     """Observed counts from one progressively Type-I interval censored life test.
@@ -162,7 +153,7 @@ def scheme_to_json(scheme: CensoringScheme) -> str:
 def scheme_from_json(text: str) -> CensoringScheme:
     obj = json.loads(text)
     try:
-        return validate_scheme(obj["times"], obj["percentages"])
+        return CensoringScheme(obj["times"], obj["percentages"])
     except (TypeError, KeyError) as exc:
         raise InvalidSample(f"scheme JSON needs 'times' and 'percentages' lists: {exc}") from None
 
@@ -170,8 +161,7 @@ def scheme_from_json(text: str) -> CensoringScheme:
 def load_scheme(spec: str) -> CensoringScheme:
     """Load a scheme by bundled name (see BUNDLED_SCHEME_NAMES) or JSON file path."""
     if spec in BUNDLED_SCHEME_NAMES:
-        bundled = resources.files("picgof") / "data" / f"{spec}.json"
-        return scheme_from_json(bundled.read_text("utf-8"))
+        spec = Path(__file__).with_name("data") / f"{spec}.json"
     return load_input(spec, InvalidSample, scheme_from_json)
 
 
@@ -189,7 +179,7 @@ def sample_to_json(sample: CensoredSample) -> str:
 def sample_from_json(text: str) -> CensoredSample:
     obj = json.loads(text)
     try:
-        scheme = validate_scheme(obj["times"], obj["percentages"])
+        scheme = CensoringScheme(obj["times"], obj["percentages"])
         return CensoredSample(scheme, obj["n"], tuple(obj["failures"]), tuple(obj["removals"]))
     except (TypeError, KeyError) as exc:
         raise InvalidSample(f"sample JSON is missing fields: {exc}") from None
@@ -224,7 +214,7 @@ def sample_from_csv(text: str) -> CensoredSample:
     removals = [as_int(r, "removal count", InvalidSample) for _, _, r in rows]
     n = sum(failures) + sum(removals)
     percentages = _infer_percentages(n, failures, removals)
-    scheme = validate_scheme(times, percentages)
+    scheme = CensoringScheme(times, percentages)
     return CensoredSample(scheme, n, tuple(failures), tuple(removals))
 
 

@@ -20,7 +20,7 @@ def schemes(draw, max_m=5):
     percentages = [
         draw(st.floats(0.0, 1.0, allow_nan=False)) for _ in range(m - 1)
     ] + [1.0]
-    return pg.validate_scheme((0.0, *sorted(times)), percentages)
+    return pg.CensoringScheme((0.0, *sorted(times)), percentages)
 
 
 @st.composite

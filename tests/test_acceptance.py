@@ -100,7 +100,7 @@ ATOM_TOL = 1e-9
 )
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_matches_exact_enumeration_on_tiny_designs(times, percentages, n):
-    scheme = pg.validate_scheme(times, percentages)
+    scheme = pg.CensoringScheme(times, percentages)
     laws = enumerate_laws(times, percentages, n)
     sims = pg.replicated_statistics(
         scheme, n, pg.UNIFORM, seed=ENUM_SEED, replications=ENUM_B, workers=2
@@ -167,7 +167,7 @@ def test_estimator_identities_hold():
         n = int(rng.integers(1, 31))
         times = (0.0, *np.cumsum(rng.uniform(0.01, 0.15, size=m)).tolist())
         percentages = (*rng.uniform(0.0, 1.0, size=m - 1).tolist(), 1.0)
-        scheme = pg.validate_scheme(times, percentages)
+        scheme = pg.CensoringScheme(times, percentages)
         failures, removals = [], []
         at_risk = n
         for i in range(m):

@@ -50,7 +50,7 @@ class TestCriticalValues:
 
     def test_scheme_from_file(self, capsys, tmp_path):
         path = tmp_path / "s.json"
-        path.write_text(pg.scheme_to_json(pg.validate_scheme((0.0, 0.4), (1.0,))))
+        path.write_text(pg.scheme_to_json(pg.CensoringScheme((0.0, 0.4), (1.0,))))
         code, out, _ = run(
             capsys, "critical-values", "--scheme", str(path), "--n", "5", "--B", "100"
         )
@@ -289,6 +289,21 @@ BAD_INPUTS = {
     # JSON that json.loads refuses with a plain ValueError or a RecursionError
     "long_int.json": '{"times": [0.0, ' + "1" * 5000 + '], "percentages": [1.0]}',
     "deep.json": '{"n": ' + "[" * 100000 + "]" * 100000 + "}",
+    # the golden t1p1 table with one time of its scheme changed, so that the
+    # scheme no longer matches its scheme_id
+    "cv_scheme.json": (GOLDEN_DIR / "cv.json").read_text("utf-8").replace(
+        '"times": [0.0, 0.1,', '"times": [0.0, 0.15,'
+    ),
+    # the golden table with a level outside (0, 1) or a critical value that is not finite
+    "cv_nan.csv": (GOLDEN_DIR / "cv.csv").read_text("utf-8").replace(
+        ",0.05,400,1,0.3484848484848485,", ",nan,400,1,nan,"
+    ),
+    "cv_inf.csv": (GOLDEN_DIR / "cv.csv").read_text("utf-8").replace(
+        ",0.3484848484848485,", ",inf,"
+    ),
+    "cv_level_one.json": (GOLDEN_DIR / "cv.json").read_text("utf-8").replace(
+        '"level": 0.05,', '"level": 1.0,'
+    ),
 }
 
 CV = ("critical-values", "--scheme", "t1p1", "--n", "10", "--B", "20")
@@ -325,6 +340,10 @@ class TestErrorBoundary:
             ("simulate", "--scheme", "t1p1", "--n", "99999999999999999999"),
             ("critical-values", "--scheme", "long_int.json", "--B", "20"),
             ("test", "--data", "deep.json", "--B", "20"),
+            (*POWER, "--critical", "cv_scheme.json"),
+            (*POWER, "--critical", "cv_nan.csv"),
+            (*POWER, "--critical", "cv_inf.csv"),
+            (*POWER, "--critical", "cv_level_one.json"),
         ],
         ids=" ".join,
     )

@@ -87,7 +87,7 @@ def make_table(scheme, n, values):
 
 class TestReject:
     def setup_method(self):
-        self.scheme = pg.validate_scheme((0.0, 0.25, 0.5), (0.4, 1.0))
+        self.scheme = pg.CensoringScheme((0.0, 0.25, 0.5), (0.4, 1.0))
         self.observed = pg.compute_statistics((0.05, 0.10))
 
     def test_equality_does_not_reject(self):
@@ -108,7 +108,7 @@ class TestReject:
 
     def test_scheme_mismatch_raises(self):
         table = make_table(self.scheme, 10, self.observed.as_dict())
-        other = pg.validate_scheme((0.0, 0.2, 0.5), (0.4, 1.0))
+        other = pg.CensoringScheme((0.0, 0.2, 0.5), (0.4, 1.0))
         with pytest.raises(pg.SchemeMismatch):
             pg.reject(self.observed, table, scheme=other)
 

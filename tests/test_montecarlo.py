@@ -8,7 +8,7 @@ import pytest
 
 import picgof as pg
 
-SCHEME = pg.validate_scheme((0.0, 0.2, 0.4, 0.6), (0.3, 0.3, 1.0))
+SCHEME = pg.CensoringScheme((0.0, 0.2, 0.4, 0.6), (0.3, 0.3, 1.0))
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +59,7 @@ class TestReplicatedStatistics:
             assert tuple(stats[rep]) == expected.as_tuple()
 
     def test_rejects_final_time_at_one(self):
-        scheme = pg.validate_scheme((0.0, 0.5, 1.0), (0.3, 1.0))
+        scheme = pg.CensoringScheme((0.0, 0.5, 1.0), (0.3, 1.0))
         with pytest.raises(ValueError):
             pg.replicated_statistics(scheme, 10, pg.UNIFORM, seed=0, replications=10)
 
@@ -205,7 +205,7 @@ class TestPower:
             assert est.stderr[name] == pytest.approx(math.sqrt(f * (1 - f) / 500))
 
     def test_mismatched_table_raises(self, table):
-        other = pg.validate_scheme((0.0, 0.25, 0.6), (0.3, 1.0))
+        other = pg.CensoringScheme((0.0, 0.25, 0.6), (0.3, 1.0))
         with pytest.raises(pg.SchemeMismatch):
             pg.power(other, 15, table, pg.UNIFORM, replications=10, seed=0)
         with pytest.raises(pg.SchemeMismatch):

@@ -10,7 +10,7 @@ from strategies import families, no_removal_samples, samples
 
 
 def make_sample(times, pct, n, failures, removals):
-    return pg.CensoredSample(pg.validate_scheme(times, pct), n, failures, removals)
+    return pg.CensoredSample(pg.CensoringScheme(times, pct), n, failures, removals)
 
 
 class TestSurvivalValues:

@@ -33,7 +33,7 @@ class TestIntervalFailureProbs:
 
     def test_clamps_rounding_spill(self):
         over = np.nextafter(1.0, 2.0)
-        scheme = pg.validate_scheme((0.0, 0.5), (1.0,))
+        scheme = pg.CensoringScheme((0.0, 0.5), (1.0,))
         probs = pg.interval_failure_probs(scheme, lambda t: over if t > 0 else 0.0)
         assert probs == (1.0,)
 
@@ -104,7 +104,7 @@ class TestSimulateSample:
         assert sum(sample.failures) + sum(sample.removals) == n
 
     def test_first_interval_counts_follow_binomial_law(self):
-        scheme = pg.validate_scheme((0.0, 0.3), (1.0,))
+        scheme = pg.CensoringScheme((0.0, 0.3), (1.0,))
         n, reps = 6, 20000
         counts = np.zeros(n + 1)
         for r in range(reps):

@@ -18,90 +18,90 @@ class TestSchemeValidation:
     @pytest.mark.parametrize("times", [T1, T2])
     @pytest.mark.parametrize("pct", [P1, P2])
     def test_accepts_reference_designs(self, times, pct):
-        scheme = pg.validate_scheme(times, pct)
+        scheme = pg.CensoringScheme(times, pct)
         assert scheme.m == 5
         assert scheme.inspection_times == times[1:]
 
     def test_accepts_minimal_design(self):
-        scheme = pg.validate_scheme((0.0, 0.5), (1.0,))
+        scheme = pg.CensoringScheme((0.0, 0.5), (1.0,))
         assert scheme.m == 1
 
     def test_rejects_duplicate_times(self):
         with pytest.raises(pg.NonIncreasingTimes):
-            pg.validate_scheme((0.0, 0.2, 0.2, 0.5), (0.5, 0.5, 1.0))
+            pg.CensoringScheme((0.0, 0.2, 0.2, 0.5), (0.5, 0.5, 1.0))
 
     def test_rejects_decreasing_times(self):
         with pytest.raises(pg.NonIncreasingTimes):
-            pg.validate_scheme((0.0, 0.3, 0.2), (0.5, 1.0))
+            pg.CensoringScheme((0.0, 0.3, 0.2), (0.5, 1.0))
 
     def test_rejects_nonzero_start(self):
         with pytest.raises(pg.FirstTimeNotZero):
-            pg.validate_scheme((0.1, 0.2, 0.5), (0.5, 1.0))
+            pg.CensoringScheme((0.1, 0.2, 0.5), (0.5, 1.0))
 
     @pytest.mark.parametrize("bad", [-0.1, 1.5])
     def test_rejects_percentage_out_of_range(self, bad):
         with pytest.raises(pg.PercentageOutOfRange):
-            pg.validate_scheme((0.0, 0.2, 0.5), (bad, 1.0))
+            pg.CensoringScheme((0.0, 0.2, 0.5), (bad, 1.0))
 
     def test_rejects_last_percentage_not_one(self):
         with pytest.raises(pg.LastPercentageNotOne):
-            pg.validate_scheme((0.0, 0.2, 0.5), (0.5, 0.99))
+            pg.CensoringScheme((0.0, 0.2, 0.5), (0.5, 0.99))
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(pg.LengthMismatch):
-            pg.validate_scheme((0.0, 0.2, 0.5), (1.0,))
+            pg.CensoringScheme((0.0, 0.2, 0.5), (1.0,))
 
     def test_rejects_empty_design(self):
         with pytest.raises(pg.LengthMismatch):
-            pg.validate_scheme((0.0,), ())
+            pg.CensoringScheme((0.0,), ())
 
     def test_rejects_nan_time(self):
         with pytest.raises(pg.NonIncreasingTimes):
-            pg.validate_scheme((0.0, float("nan"), 0.5), (0.5, 1.0))
+            pg.CensoringScheme((0.0, float("nan"), 0.5), (0.5, 1.0))
 
     @given(schemes())
     def test_validation_idempotent(self, scheme):
-        again = pg.validate_scheme(scheme.times, scheme.percentages)
+        again = pg.CensoringScheme(scheme.times, scheme.percentages)
         assert again == scheme
 
 
 class TestCensoredSample:
     def test_accepts_consistent_counts(self):
-        scheme = pg.validate_scheme((0.0, 0.25, 0.5), (0.4, 1.0))
+        scheme = pg.CensoringScheme((0.0, 0.25, 0.5), (0.4, 1.0))
         sample = pg.CensoredSample(scheme, 10, (2, 1), (4, 3))
         assert sample.n == 10
 
     def test_rejects_bad_conservation(self):
-        scheme = pg.validate_scheme((0.0, 0.25, 0.5), (0.4, 1.0))
+        scheme = pg.CensoringScheme((0.0, 0.25, 0.5), (0.4, 1.0))
         with pytest.raises(pg.InvalidSample):
             pg.CensoredSample(scheme, 10, (2, 1), (4, 2))
 
     def test_rejects_excess_failures(self):
-        scheme = pg.validate_scheme((0.0, 0.25, 0.5), (0.4, 1.0))
+        scheme = pg.CensoringScheme((0.0, 0.25, 0.5), (0.4, 1.0))
         # 8 failures after 2 + 4 units gone leave only 4 at risk in interval 2
         with pytest.raises(pg.InvalidSample, match="more failures"):
             pg.CensoredSample(scheme, 10, (2, 8), (4, 0))
 
     def test_rejects_excess_removals(self):
-        scheme = pg.validate_scheme((0.0, 0.25, 0.5), (0.4, 1.0))
+        scheme = pg.CensoringScheme((0.0, 0.25, 0.5), (0.4, 1.0))
         with pytest.raises(pg.InvalidSample, match="more removals"):
             pg.CensoredSample(scheme, 10, (2, 0), (9, 0))
 
     def test_rejects_negative_and_fractional_counts(self):
-        scheme = pg.validate_scheme((0.0, 0.25, 0.5), (0.4, 1.0))
+        scheme = pg.CensoringScheme((0.0, 0.25, 0.5), (0.4, 1.0))
         with pytest.raises(pg.InvalidSample):
             pg.CensoredSample(scheme, 10, (-1, 5), (3, 3))
         with pytest.raises(pg.InvalidSample):
             pg.CensoredSample(scheme, 10, (2.5, 1), (4, 2.5))
 
     def test_rejects_length_mismatch(self):
-        scheme = pg.validate_scheme((0.0, 0.25, 0.5), (0.4, 1.0))
+        scheme = pg.CensoringScheme((0.0, 0.25, 0.5), (0.4, 1.0))
         with pytest.raises(pg.LengthMismatch):
             pg.CensoredSample(scheme, 10, (10,), (0, 0))
 
     @pytest.mark.parametrize("n", [0, -4, 2.5, "ten"])
     def test_rejects_bad_n(self, n):
-        scheme = pg.validate_scheme((0.0, 0.5), (1.0,))
+        scheme = pg.CensoringScheme((0.0, 0.5), (1.0,))
         with pytest.raises(pg.InvalidSample):
             pg.CensoredSample(scheme, n, (0,), (0,))
 
@@ -111,21 +111,21 @@ class TestSchemeId:
         ids = {name: pg.scheme_id(s) for name, s in bundled_schemes.items()}
         assert len(set(ids.values())) == 4
         for name, s in bundled_schemes.items():
-            assert pg.scheme_id(pg.validate_scheme(s.times, s.percentages)) == ids[name]
+            assert pg.scheme_id(pg.CensoringScheme(s.times, s.percentages)) == ids[name]
 
     def test_sensitive_to_percentages(self):
-        a = pg.validate_scheme((0.0, 0.2, 0.5), (0.5, 1.0))
-        b = pg.validate_scheme((0.0, 0.2, 0.5), (0.25, 1.0))
+        a = pg.CensoringScheme((0.0, 0.2, 0.5), (0.5, 1.0))
+        b = pg.CensoringScheme((0.0, 0.2, 0.5), (0.25, 1.0))
         assert pg.scheme_id(a) != pg.scheme_id(b)
 
 
 class TestSerialization:
     def test_scheme_json_round_trip(self):
-        scheme = pg.validate_scheme(T1, P1)
+        scheme = pg.CensoringScheme(T1, P1)
         assert pg.scheme_from_json(pg.scheme_to_json(scheme)) == scheme
 
     def test_sample_json_round_trip(self):
-        scheme = pg.validate_scheme(T2, P2)
+        scheme = pg.CensoringScheme(T2, P2)
         sample = pg.CensoredSample(scheme, 10, (2, 1, 0, 1, 0), (4, 0, 1, 0, 1))
         again = pg.sample_from_json(pg.sample_to_json(sample))
         assert again == sample
@@ -135,7 +135,7 @@ class TestSerialization:
             pg.sample_from_json(json.dumps({"times": [0, 0.5], "n": 3}))
 
     def test_sample_csv_round_trip(self):
-        scheme = pg.validate_scheme((0.0, 0.1, 0.5), (0.5, 1.0))
+        scheme = pg.CensoringScheme((0.0, 0.1, 0.5), (0.5, 1.0))
         sample = pg.CensoredSample(scheme, 12, (3, 2), (4, 3))
         text = pg.sample_to_csv(sample)
         assert text.splitlines()[0] == "t_i,x_i,r_i"
@@ -149,7 +149,7 @@ class TestSerialization:
     def test_csv_percentages_reproduce_removals(self):
         # the format carries no percentages; the inferred ones must regenerate
         # the observed removals through the withdrawal rule
-        scheme = pg.validate_scheme((0.0, 0.1, 0.3, 0.5), (0.37, 0.2, 1.0))
+        scheme = pg.CensoringScheme((0.0, 0.1, 0.3, 0.5), (0.37, 0.2, 1.0))
         sample = pg.CensoredSample(scheme, 20, (4, 3, 2), (5, 2, 4))
         parsed = pg.sample_from_csv(pg.sample_to_csv(sample))
         at_risk = parsed.n
@@ -208,7 +208,7 @@ class TestBundledSchemes:
 
     def test_load_scheme_from_path(self, tmp_path):
         path = tmp_path / "custom.json"
-        path.write_text(pg.scheme_to_json(pg.validate_scheme((0.0, 0.4), (1.0,))))
+        path.write_text(pg.scheme_to_json(pg.CensoringScheme((0.0, 0.4), (1.0,))))
         assert pg.load_scheme(str(path)).m == 1
 
     def test_load_scheme_missing_path(self):
