@@ -20,23 +20,7 @@ from .distributions import (
     test_general,
     transform_scheme,
 )
-from .errors import (
-    CensoringError,
-    DegenerateRiskSet,
-    EmptyDeviationVector,
-    FamilySyntaxError,
-    FirstTimeNotZero,
-    FlatCdfAcrossInspections,
-    InvalidN,
-    InvalidSample,
-    LastPercentageNotOne,
-    LengthMismatch,
-    NonIncreasingTimes,
-    NonMonotoneCdf,
-    ParameterOutOfDomain,
-    PercentageOutOfRange,
-    SchemeMismatch,
-)
+from .errors import CensoringError, FamilySyntaxError
 from .gof import STAT_NAMES, StatisticSet, compute_statistics, reject
 from .montecarlo import (
     CriticalValueTable,
@@ -75,23 +59,10 @@ __all__ = [
     "CensoringScheme",
     "CriticalValueTable",
     "DEFAULT_PARAMETER_GRIDS",
-    "DegenerateRiskSet",
-    "EmptyDeviationVector",
     "FAMILY_KINDS",
     "FamilySyntaxError",
-    "FirstTimeNotZero",
-    "FlatCdfAcrossInspections",
-    "InvalidN",
-    "InvalidSample",
-    "LastPercentageNotOne",
-    "LengthMismatch",
-    "NonIncreasingTimes",
-    "NonMonotoneCdf",
-    "ParameterOutOfDomain",
-    "PercentageOutOfRange",
     "PowerEstimate",
     "STAT_NAMES",
-    "SchemeMismatch",
     "StatisticSet",
     "TabulatedCdf",
     "UNIFORM",

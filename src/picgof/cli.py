@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from .distributions import DEFAULT_PARAMETER_GRIDS, parse_family, test_general, transform_scheme
-from .errors import CensoringError, FamilySyntaxError, InvalidSample
+from .errors import CensoringError, FamilySyntaxError
 from .gof import STAT_NAMES
 from .montecarlo import (
     CriticalValueTable,
@@ -80,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Monte Carlo replications (default 20000)")
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
         p.add_argument("--threads", type=int, default=1, dest="workers",
-                       help="worker processes; 0 means one per CPU (default 1)")
+                       help="worker processes, never more than the CPU count; "
+                       "0 means one per CPU (default 1)")
         p.add_argument("--out", help="output path; stdout when omitted")
         p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
 
@@ -189,7 +190,7 @@ def _run_power_curve(ns: argparse.Namespace) -> None:
 
 def _run_test(ns: argparse.Namespace) -> None:
     null = parse_family(ns.null)
-    sample = load_input(ns.data, InvalidSample, sample_from_csv, sample_from_json)
+    sample = load_input(ns.data, sample_from_csv, sample_from_json)
     working_scheme = transform_scheme(sample.scheme, null)
     stats = test_general(sample, null)
     pvals = p_value(stats, working_scheme, sample.n, ns.replications, ns.seed, ns.workers)

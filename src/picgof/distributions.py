@@ -13,12 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    FamilySyntaxError,
-    FlatCdfAcrossInspections,
-    NonMonotoneCdf,
-    ParameterOutOfDomain,
-)
+from .errors import CensoringError, FamilySyntaxError
 from .gof import StatisticSet, compute_statistics
 from .reliability import deviations
 from .schemes import CensoredSample, CensoringScheme, as_real, csv_rows, load_input
@@ -47,20 +42,20 @@ class TabulatedCdf:
     parameter = None
 
     def __post_init__(self) -> None:
-        xs = tuple(as_real(x, "x", ParameterOutOfDomain) for x in self.xs)
-        values = tuple(as_real(v, "cdf value", ParameterOutOfDomain) for v in self.values)
+        xs = tuple(as_real(x, "x") for x in self.xs)
+        values = tuple(as_real(v, "cdf value") for v in self.values)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "values", values)
         if len(xs) != len(values):
-            raise ParameterOutOfDomain("x grid and cdf values differ in length")
+            raise CensoringError("x grid and cdf values differ in length")
         if len(xs) < 2:
-            raise ParameterOutOfDomain("a tabulated cdf needs at least two points")
+            raise CensoringError("a tabulated cdf needs at least two points")
         if any(not b > a for a, b in zip(xs, xs[1:])):
-            raise ParameterOutOfDomain("x grid must be strictly increasing")
+            raise CensoringError("x grid must be strictly increasing")
         if any(b < a for a, b in zip(values, values[1:])):
-            raise NonMonotoneCdf("tabulated cdf values must be nondecreasing")
+            raise CensoringError("tabulated cdf values must be nondecreasing")
         if not all(0.0 <= v <= 1.0 for v in values):  # also rejects nan
-            raise ParameterOutOfDomain("tabulated cdf values must lie in [0, 1]")
+            raise CensoringError("tabulated cdf values must lie in [0, 1]")
 
     def __call__(self, x: float) -> float:
         return float(np.interp(x, self.xs, self.values))
@@ -68,7 +63,7 @@ class TabulatedCdf:
     @classmethod
     def from_csv(cls, text: str) -> "TabulatedCdf":
         """Parse two-column CSV with header ``x,cdf`` (grammar of :func:`csv_rows`)."""
-        rows = csv_rows(text, ("x", "cdf"), ParameterOutOfDomain)
+        rows = csv_rows(text, ("x", "cdf"))
         return cls(tuple(x for x, _ in rows), tuple(v for _, v in rows))
 
 
@@ -94,23 +89,19 @@ class AlternativeFamily:
 
     def __post_init__(self) -> None:
         if self.kind not in FAMILY_KINDS:
-            raise ParameterOutOfDomain(
-                f"unknown family {self.kind!r}, expected one of {FAMILY_KINDS}"
-            )
+            raise CensoringError(f"unknown family {self.kind!r}, expected one of {FAMILY_KINDS}")
         if self.parameter is not None:
             object.__setattr__(self, "parameter", float(self.parameter))
         p = self.parameter
         if self.kind == "uniform":
             if p is not None:
-                raise ParameterOutOfDomain(f"uniform takes no parameter, got {p!r}")
+                raise CensoringError(f"uniform takes no parameter, got {p!r}")
         elif self.kind in ("lehmann", "centered"):
             if p is None or not p > 0.0:
-                raise ParameterOutOfDomain(f"{self.kind} parameter must be > 0, got {p!r}")
+                raise CensoringError(f"{self.kind} parameter must be > 0, got {p!r}")
         else:  # compressed
             if p is None or not 0.0 <= p < 0.5:
-                raise ParameterOutOfDomain(
-                    f"compressed parameter must lie in [0, 0.5), got {p!r}"
-                )
+                raise CensoringError(f"compressed parameter must lie in [0, 0.5), got {p!r}")
 
     def __call__(self, x: float) -> float:
         """Evaluate the CDF at a point; any x outside [0, 1] clamps to the
@@ -148,7 +139,7 @@ def parse_family(spec: str) -> AlternativeFamily | TabulatedCdf:
     :class:`TabulatedCdf` read from that file.
     A malformed spec raises :class:`FamilySyntaxError` before any file is
     read; a well-formed one with a parameter outside its family's domain
-    raises :class:`ParameterOutOfDomain`.
+    raises :class:`CensoringError`.
     """
     kind, sep, arg = spec.partition(":")
     kind = kind.strip()
@@ -159,7 +150,7 @@ def parse_family(spec: str) -> AlternativeFamily | TabulatedCdf:
     if kind == "table":
         if not arg:
             raise FamilySyntaxError("table form is 'table:<csv path>'")
-        return load_input(arg, ParameterOutOfDomain, TabulatedCdf.from_csv)
+        return load_input(arg, TabulatedCdf.from_csv)
     if kind in DEFAULT_PARAMETER_GRIDS:
         try:
             value = float(arg)
@@ -176,19 +167,18 @@ def transform_scheme(scheme: CensoringScheme, f0: Callable[[float], float]) -> C
 
     The result lives on the probability scale and keeps the original
     withdrawal percentages.  F0 must be 0 at time 0 and strictly increasing
-    across the inspection times; ties raise
-    :class:`FlatCdfAcrossInspections` because a flat stretch makes two
-    inspections indistinguishable under the model.
+    across the inspection times; ties raise :class:`CensoringError` because
+    a flat stretch makes two inspections indistinguishable under the model.
     """
     new_times = [float(f0(t)) for t in scheme.times]
     for i in range(1, len(new_times)):
         if new_times[i] == new_times[i - 1]:
-            raise FlatCdfAcrossInspections(
+            raise CensoringError(
                 f"hypothesized cdf is flat between t = {scheme.times[i - 1]!r} "
                 f"and t = {scheme.times[i]!r}"
             )
         if new_times[i] < new_times[i - 1]:
-            raise NonMonotoneCdf("hypothesized cdf decreases between inspection times")
+            raise CensoringError("hypothesized cdf decreases between inspection times")
     return CensoringScheme(tuple(new_times), scheme.percentages)
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import EmptyDeviationVector
+from .errors import CensoringError
 from .schemes import CensoringScheme
 
 if TYPE_CHECKING:
@@ -56,7 +56,7 @@ def compute_statistics(d: Sequence[float]) -> StatisticSet:
     """All six statistics of a deviation vector."""
     d = tuple(d)
     if not d:
-        raise EmptyDeviationVector("cannot summarize an empty deviation vector")
+        raise CensoringError("cannot summarize an empty deviation vector")
     return StatisticSet(*fold_deviations(d))
 
 
@@ -72,7 +72,7 @@ def reject(
     Rejection requires strict exceedance: an observed value exactly equal to
     its critical value does not reject.  Pass ``scheme`` and/or ``n`` to have
     them checked by :meth:`CriticalValueTable.check_design`; a mismatch raises
-    :class:`SchemeMismatch` instead of silently comparing across designs.
+    :class:`CensoringError` instead of silently comparing across designs.
     """
     critical.check_design(scheme, n)
     obs = observed.as_dict()

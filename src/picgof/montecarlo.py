@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .distributions import UNIFORM, AlternativeFamily, TabulatedCdf
-from .errors import InvalidN, ParameterOutOfDomain, SchemeMismatch
+from .errors import CensoringError
 from .gof import STAT_NAMES, StatisticSet, fold_deviations
 from .reliability import survival_values
 from .sampling import Cdf, draw_counts, interval_failure_probs
@@ -45,7 +45,7 @@ POWER_CSV_HEADER = "family,param,stat,power,stderr"
 def derive_stream(seed: int, index: int) -> np.random.Generator:
     """The independent random stream used for replication ``index`` of a run."""
     if not 0 <= seed < 2**64:
-        raise ParameterOutOfDomain(f"seed must be an integer in [0, 2**64), got {seed}")
+        raise CensoringError(f"seed must be an integer in [0, 2**64), got {seed}")
     return np.random.Generator(np.random.Philox(key=(seed, index)))
 
 
@@ -74,12 +74,13 @@ def replicated_statistics(
     Samples are drawn from ``model``; the statistics always measure the gap
     to the uniform null at the scheme's inspection times, so the scheme must
     satisfy t_m < 1.  Row order follows the replication index regardless of
-    ``workers`` (0 means one worker per CPU).
+    ``workers`` (0 means one worker per CPU; never more than the CPU count
+    or the number of chunks are started).
     """
-    n = as_int(n, "sample size", InvalidN, 1, MAX_N)
-    replications = as_int(replications, "replications", ParameterOutOfDomain, 1)
+    n = as_int(n, "sample size", 1, MAX_N)
+    replications = as_int(replications, "replications", 1)
     if scheme.times[-1] >= 1.0:
-        raise ParameterOutOfDomain(
+        raise CensoringError(
             "uniformity statistics need the final inspection time below 1, "
             f"got {scheme.times[-1]!r}"
         )
@@ -89,11 +90,12 @@ def replicated_statistics(
         (n, probs, scheme.percentages, null_survival, seed, start, min(start + CHUNK_SIZE, replications))
         for start in range(0, replications, CHUNK_SIZE)
     ]
-    workers = as_int(workers, "workers", ParameterOutOfDomain) or os.cpu_count() or 1
-    if workers == 1 or len(chunks) == 1:
+    cpus = os.cpu_count() or 1
+    workers = min(as_int(workers, "workers") or cpus, cpus, len(chunks))
+    if workers == 1:
         parts = [_statistic_chunk(chunk) for chunk in chunks]
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_statistic_chunk, chunks))
     return np.vstack(parts)
 
@@ -134,20 +136,20 @@ class CriticalValueTable:
         return json.dumps(obj)
 
     def check_design(self, scheme: CensoringScheme | None = None, n: int | None = None) -> None:
-        """Raise :class:`SchemeMismatch` unless the table was computed for
+        """Raise :class:`CensoringError` unless the table was computed for
         ``scheme`` and ``n``; an argument left as None is not checked."""
         if n is not None and n != self.n:
-            raise SchemeMismatch(f"table was computed for n = {self.n}, got n = {n}")
+            raise CensoringError(f"table was computed for n = {self.n}, got n = {n}")
         if scheme is not None and scheme_id(scheme) != self.scheme_id:
-            raise SchemeMismatch(
+            raise CensoringError(
                 f"table was computed for scheme {self.scheme_id}, got {scheme_id(scheme)}"
             )
 
     @classmethod
     def from_csv(cls, text: str) -> "CriticalValueTable":
-        rows = csv_rows(text, TABLE_CSV_HEADER.split(","), SchemeMismatch)
+        rows = csv_rows(text, TABLE_CSV_HEADER.split(","))
         if len(rows) != 1:
-            raise SchemeMismatch("expected exactly one table row")
+            raise CensoringError("expected exactly one table row")
         sid, n, level, b, seed, *values = rows[0]
         return cls._from_dict({
             "scheme_id": sid, "n": n, "level": level, "B": b, "seed": seed,
@@ -171,32 +173,32 @@ class CriticalValueTable:
                 scheme = CensoringScheme(obj["scheme"]["times"], obj["scheme"]["percentages"])
             table = cls(
                 scheme_id=obj["scheme_id"],
-                n=as_int(obj["n"], "n", SchemeMismatch, 1, MAX_N),
-                level=as_real(obj["level"], "level", SchemeMismatch),
-                replications=as_int(obj["B"], "B", SchemeMismatch, 1),
-                seed=as_int(obj["seed"], "seed", SchemeMismatch, 0, 2**64),
+                n=as_int(obj["n"], "n", 1, MAX_N),
+                level=as_real(obj["level"], "level"),
+                replications=as_int(obj["B"], "B", 1),
+                seed=as_int(obj["seed"], "seed", 0, 2**64),
                 values={
-                    name: as_real(obj["critical_values"][name], name, SchemeMismatch)
+                    name: as_real(obj["critical_values"][name], name)
                     for name in STAT_NAMES
                 },
                 scheme=scheme,
             )
         except (KeyError, TypeError) as exc:
-            raise SchemeMismatch(f"malformed critical value table: {exc!r}") from None
+            raise CensoringError(f"malformed critical value table: {exc!r}") from None
         if not 0.0 < table.level < 1.0:
-            raise SchemeMismatch(f"table level must lie in (0, 1), got {table.level!r}")
+            raise CensoringError(f"table level must lie in (0, 1), got {table.level!r}")
         for name, value in table.values.items():
             if not math.isfinite(value):
-                raise SchemeMismatch(f"critical value {name} must be finite, got {value!r}")
+                raise CensoringError(f"critical value {name} must be finite, got {value!r}")
         if scheme is not None and scheme_id(scheme) != table.scheme_id:
-            raise SchemeMismatch(
+            raise CensoringError(
                 f"table scheme_id {table.scheme_id} does not match its scheme, {scheme_id(scheme)}"
             )
         return table
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "CriticalValueTable":
-        return load_input(path, SchemeMismatch, cls.from_csv, cls.from_json)
+        return load_input(path, cls.from_csv, cls.from_json)
 
 
 def critical_values(
@@ -216,7 +218,7 @@ def critical_values(
     B at 1000 or more.
     """
     if not 0.0 < level < 1.0:
-        raise ParameterOutOfDomain(f"level must lie strictly between 0 and 1, got {level!r}")
+        raise CensoringError(f"level must lie strictly between 0 and 1, got {level!r}")
     stats = replicated_statistics(scheme, n, UNIFORM, seed, replications, workers)
     order = math.ceil(replications * (1.0 - level))
     values = {}
@@ -320,7 +322,7 @@ def power_curve(
     """
     points = [float(p) for p in grid]
     if not points:
-        raise ParameterOutOfDomain("empty parameter grid")
+        raise CensoringError("empty parameter grid")
     families = [AlternativeFamily(family_kind, parameter=p) for p in points]
     return [
         power(scheme, n, critical, fam, replications, seed, workers) for fam in families

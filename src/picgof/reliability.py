@@ -14,14 +14,14 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .errors import DegenerateRiskSet, ParameterOutOfDomain
+from .errors import CensoringError
 from .schemes import CensoredSample
 
 
 def survival_values(n: int, failures: Sequence[int], removals: Sequence[int]) -> list[float]:
     """Product-limit survival estimates at the inspection times, from raw counts.
 
-    Raises :class:`DegenerateRiskSet` for count vectors reporting failures
+    Raises :class:`CensoringError` for count vectors reporting failures
     after the risk set is exhausted; that cannot happen for validated
     samples, only for hand-fed count vectors.
     """
@@ -32,7 +32,7 @@ def survival_values(n: int, failures: Sequence[int], removals: Sequence[int]) ->
         if at_risk > 0:
             estimate *= 1.0 - x / at_risk
         elif x > 0:
-            raise DegenerateRiskSet(
+            raise CensoringError(
                 f"failures reported at inspection {i} but no units were on test"
             )
         values.append(estimate)
@@ -46,12 +46,10 @@ def deviations(sample: CensoredSample, null_cdf: Callable[[float], float]) -> tu
     ``null_cdf`` must leave positive survival at the final inspection time
     (for the uniformity test: t_m < 1); otherwise the last deviation is
     pinned by design rather than informative, and
-    :class:`ParameterOutOfDomain` is raised.
+    :class:`CensoringError` is raised.
     """
     times = sample.scheme.inspection_times
     if 1.0 - float(null_cdf(times[-1])) <= 0.0:
-        raise ParameterOutOfDomain(
-            "the hypothesized cdf must stay below 1 at the final inspection time"
-        )
+        raise CensoringError("the hypothesized cdf must stay below 1 at the final inspection time")
     est = survival_values(sample.n, sample.failures, sample.removals)
     return tuple(e - (1.0 - float(null_cdf(t))) for t, e in zip(times, est))

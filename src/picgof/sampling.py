@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidN, NonMonotoneCdf
+from .errors import CensoringError
 from .schemes import MAX_N, CensoredSample, CensoringScheme, as_int
 
 #: A lifetime CDF evaluated pointwise; must be nondecreasing over the
@@ -26,9 +26,12 @@ def withdraw_count(percentage: float, survivors: int) -> int:
     """Units withdrawn at an inspection: floor(percentage * survivors).
 
     A tiny additive guard absorbs binary representation error in decimal
-    percentages, so that e.g. 0.1 of 30 survivors withdraws exactly 3.
+    percentages, so that e.g. 0.1 of 30 survivors withdraws exactly 3.  The
+    count is capped at ``survivors``, since the float product can round
+    above them (1.0 * (2**63 - 1) is 2**63).
     """
-    return int(math.floor(percentage * survivors + 1e-9))
+    count = math.floor(percentage * survivors + 1e-9)
+    return count if count <= survivors else survivors
 
 
 def interval_failure_probs(scheme: CensoringScheme, cdf: Cdf) -> tuple[float, ...]:
@@ -43,7 +46,7 @@ def interval_failure_probs(scheme: CensoringScheme, cdf: Cdf) -> tuple[float, ..
     for t in scheme.times[1:]:
         cur = float(cdf(t))
         if cur < prev:
-            raise NonMonotoneCdf(
+            raise CensoringError(
                 f"cdf decreases between inspection times: F({t!r}) = {cur!r} < {prev!r}"
             )
         if prev >= 1.0:
@@ -85,7 +88,7 @@ def simulate_sample(
     The draw consumes ``rng`` sequentially, so the same generator state and
     arguments always reproduce the same sample.
     """
-    n = as_int(n, "sample size", InvalidN, 1, MAX_N)
+    n = as_int(n, "sample size", 1, MAX_N)
     probs = interval_failure_probs(scheme, cdf)
     failures, removals = draw_counts(n, probs, scheme.percentages, rng)
     return CensoredSample(scheme, n, tuple(failures), tuple(removals))

@@ -16,16 +16,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import (
-    CensoringError,
-    FirstTimeNotZero,
-    InvalidSample,
-    LastPercentageNotOne,
-    LengthMismatch,
-    NonIncreasingTimes,
-    ParameterOutOfDomain,
-    PercentageOutOfRange,
-)
+from .errors import CensoringError
 
 #: Names accepted by :func:`load_scheme` in addition to file paths.
 BUNDLED_SCHEME_NAMES = ("t1p1", "t1p2", "t2p1", "t2p2")
@@ -49,28 +40,28 @@ class CensoringScheme:
     percentages: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        times = tuple(as_real(t, "inspection time", ParameterOutOfDomain) for t in self.times)
-        pct = tuple(as_real(p, "percentage", ParameterOutOfDomain) for p in self.percentages)
+        times = tuple(as_real(t, "inspection time") for t in self.times)
+        pct = tuple(as_real(p, "percentage") for p in self.percentages)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "percentages", pct)
         if len(times) < 2:
-            raise LengthMismatch("need at least one inspection time beyond t_0 = 0")
+            raise CensoringError("need at least one inspection time beyond t_0 = 0")
         if times[0] != 0.0:
-            raise FirstTimeNotZero(f"times must start at 0, got {times[0]!r}")
+            raise CensoringError(f"times must start at 0, got {times[0]!r}")
         for a, b in zip(times, times[1:]):
             if not b > a:
-                raise NonIncreasingTimes(
+                raise CensoringError(
                     f"inspection times must be strictly increasing, got {a!r} followed by {b!r}"
                 )
         if len(pct) != len(times) - 1:
-            raise LengthMismatch(
+            raise CensoringError(
                 f"expected {len(times) - 1} withdrawal percentages, got {len(pct)}"
             )
         for p in pct:
             if not 0.0 <= p <= 1.0:
-                raise PercentageOutOfRange(f"withdrawal percentage {p!r} outside [0, 1]")
+                raise CensoringError(f"withdrawal percentage {p!r} outside [0, 1]")
         if pct[-1] != 1.0:
-            raise LastPercentageNotOne(
+            raise CensoringError(
                 f"the final withdrawal percentage must be exactly 1, got {pct[-1]!r}"
             )
 
@@ -100,29 +91,29 @@ class CensoredSample:
     removals: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        failures = tuple(as_int(x, "failure count", InvalidSample) for x in self.failures)
-        removals = tuple(as_int(r, "removal count", InvalidSample) for r in self.removals)
+        failures = tuple(as_int(x, "failure count") for x in self.failures)
+        removals = tuple(as_int(r, "removal count") for r in self.removals)
         object.__setattr__(self, "failures", failures)
         object.__setattr__(self, "removals", removals)
         m = self.scheme.m
         if len(failures) != m or len(removals) != m:
-            raise LengthMismatch(
+            raise CensoringError(
                 f"scheme has {m} inspections but got {len(failures)} failure "
                 f"and {len(removals)} removal counts"
             )
-        object.__setattr__(self, "n", as_int(self.n, "n", InvalidSample, 1, MAX_N))
+        object.__setattr__(self, "n", as_int(self.n, "n", 1, MAX_N))
         at_risk = self.n
         for i, (x, r) in enumerate(zip(failures, removals), start=1):
             survivors = at_risk - x
             if survivors < 0:
-                raise InvalidSample(f"more failures than units at risk at inspection {i}")
+                raise CensoringError(f"more failures than units at risk at inspection {i}")
             if r > survivors:
-                raise InvalidSample(f"more removals than survivors at inspection {i}")
+                raise CensoringError(f"more removals than survivors at inspection {i}")
             at_risk = survivors - r
         # at_risk >= 0 now; anything left over means units were never resolved,
         # so this also forces the final inspection to withdraw every survivor
         if at_risk != 0:
-            raise InvalidSample(
+            raise CensoringError(
                 f"failures and removals must account for all {self.n} units, "
                 f"{at_risk} left unresolved"
             )
@@ -155,14 +146,14 @@ def scheme_from_json(text: str) -> CensoringScheme:
     try:
         return CensoringScheme(obj["times"], obj["percentages"])
     except (TypeError, KeyError) as exc:
-        raise InvalidSample(f"scheme JSON needs 'times' and 'percentages' lists: {exc}") from None
+        raise CensoringError(f"scheme JSON needs 'times' and 'percentages' lists: {exc}") from None
 
 
 def load_scheme(spec: str) -> CensoringScheme:
     """Load a scheme by bundled name (see BUNDLED_SCHEME_NAMES) or JSON file path."""
     if spec in BUNDLED_SCHEME_NAMES:
         spec = Path(__file__).with_name("data") / f"{spec}.json"
-    return load_input(spec, InvalidSample, scheme_from_json)
+    return load_input(spec, scheme_from_json)
 
 
 def sample_to_json(sample: CensoredSample) -> str:
@@ -182,7 +173,7 @@ def sample_from_json(text: str) -> CensoredSample:
         scheme = CensoringScheme(obj["times"], obj["percentages"])
         return CensoredSample(scheme, obj["n"], tuple(obj["failures"]), tuple(obj["removals"]))
     except (TypeError, KeyError) as exc:
-        raise InvalidSample(f"sample JSON is missing fields: {exc}") from None
+        raise CensoringError(f"sample JSON is missing fields: {exc}") from None
 
 
 def sample_to_csv(sample: CensoredSample) -> str:
@@ -206,12 +197,12 @@ def sample_from_csv(text: str) -> CensoredSample:
     observed removals exactly below about 3.5e7 survivors.  The grammar is
     that of :func:`csv_rows`.
     """
-    rows = csv_rows(text, SAMPLE_CSV_HEADER.split(","), InvalidSample)
+    rows = csv_rows(text, SAMPLE_CSV_HEADER.split(","))
     if not rows:
-        raise InvalidSample("no data rows")
+        raise CensoringError("no data rows")
     times = [0.0] + [t for t, _, _ in rows]
-    failures = [as_int(x, "failure count", InvalidSample) for _, x, _ in rows]
-    removals = [as_int(r, "removal count", InvalidSample) for _, _, r in rows]
+    failures = [as_int(x, "failure count") for _, x, _ in rows]
+    removals = [as_int(r, "removal count") for _, _, r in rows]
     n = sum(failures) + sum(removals)
     percentages = _infer_percentages(n, failures, removals)
     scheme = CensoringScheme(times, percentages)
@@ -233,18 +224,18 @@ def _infer_percentages(n: int, failures: list[int], removals: list[int]) -> list
 # outside input: one file read, one CSV grammar and one number rule
 
 
-def load_input(path, error, parse, parse_json=None):
+def load_input(path, parse, parse_json=None):
     """Parse a UTF-8 file with ``parse``, or with ``parse_json`` when one is given
     and the file's first non-blank character is ``{``.
 
-    A file that is not UTF-8 raises ``error``, and so does any other
-    ``ValueError`` or ``RecursionError`` of the parse: invalid JSON, an integer
-    too long to convert, or nesting too deep for the decoder.
+    A file that is not UTF-8 raises :class:`CensoringError`, and so does any
+    other ``ValueError`` or ``RecursionError`` of the parse: invalid JSON, an
+    integer too long to convert, or nesting too deep for the decoder.
     """
     try:
         text = Path(path).read_text("utf-8")
     except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        raise CensoringError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     if parse_json is not None and text.lstrip().startswith("{"):
         parse = parse_json
     try:
@@ -252,28 +243,28 @@ def load_input(path, error, parse, parse_json=None):
     except CensoringError:
         raise
     except (ValueError, RecursionError) as exc:
-        raise error(f"{path}: {exc}") from None
+        raise CensoringError(f"{path}: {exc}") from None
 
 
-def csv_rows(text: str, header, error) -> list[list]:
+def csv_rows(text: str, header) -> list[list]:
     """The data rows of a CSV text.
 
     Blank lines and lines starting with ``#`` are skipped.  The first line
     left must equal ``header`` and every later one must be as wide, or
-    ``error`` is raised.  Cells are trimmed of spaces; a data cell that
-    ``int()`` reads becomes an ``int``, so long integers stay exact, one that
-    ``float()`` reads becomes a ``float``, and any other stays text.
+    :class:`CensoringError` is raised.  Cells are trimmed of spaces; a data
+    cell that ``int()`` reads becomes an ``int``, so long integers stay exact,
+    one that ``float()`` reads becomes a ``float``, and any other stays text.
     """
     lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
     try:
         rows = [[cell.strip() for cell in row] for row in csv.reader(lines)]
     except csv.Error as exc:
-        raise error(f"unreadable CSV: {exc}") from None
+        raise CensoringError(f"unreadable CSV: {exc}") from None
     if not rows or rows[0] != list(header):
-        raise error(f"expected header '{','.join(header)}'")
+        raise CensoringError(f"expected header '{','.join(header)}'")
     for row in rows[1:]:
         if len(row) != len(header):
-            raise error(f"expected {len(header)} columns per row, got {row!r}")
+            raise CensoringError(f"expected {len(header)} columns per row, got {row!r}")
     return [[_number(cell) for cell in row] for row in rows[1:]]
 
 
@@ -286,21 +277,21 @@ def _number(cell: str) -> int | float | str:
     return cell
 
 
-def as_int(value, what: str, error, low: int = 0, high: float = math.inf) -> int:
+def as_int(value, what: str, low: int = 0, high: float = math.inf) -> int:
     """``value`` as an ``int`` in [low, high): integral, not a ``bool`` or text."""
     try:
         if not isinstance(value, bool) and value == int(value) and low <= value < high:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise error(f"{what} must be an integer in [{low}, {high}), got {value!r}")
+    raise CensoringError(f"{what} must be an integer in [{low}, {high}), got {value!r}")
 
 
-def as_real(value, what: str, error) -> float:
+def as_real(value, what: str) -> float:
     """``value`` as a ``float``: a real number, not a ``bool`` or text."""
     try:
         if not isinstance(value, (bool, str, bytes)):
             return float(value)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise error(f"{what} must be a real number, got {value!r}")
+    raise CensoringError(f"{what} must be a real number, got {value!r}")

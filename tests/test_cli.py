@@ -80,6 +80,15 @@ class TestSimulateAndTest:
         assert lines[2].startswith("statistic,")
         assert lines[3].startswith("p_value,")
 
+    def test_full_withdrawal_of_the_largest_n(self, capsys, tmp_path):
+        path = tmp_path / "all_out.json"
+        path.write_text('{"times": [0, 1e-30, 0.5], "percentages": [1.0, 1.0]}')
+        n = 2**63 - 1
+        code, out, _ = run(capsys, "simulate", "--scheme", str(path), "--n", str(n))
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert sum(int(x) + int(r) for _, x, r in rows) == n
+
     def test_simulate_json_round_trip(self, capsys, tmp_path):
         path = tmp_path / "sample.json"
         code, _, _ = run(

@@ -1,12 +1,13 @@
-"""Golden CLI transcript: stdout bytes and exit code for a fixed set of argv.
+"""Golden CLI transcript: stdout and stderr bytes and exit code for a fixed set of argv.
 
 Every case runs in-process from ``tests/golden``, whose input files
 (samples, a tabulated CDF, critical tables and broken files) the argv name
 by relative path.  A case that exits 0 runs a second time with ``--out``,
 which must write the same bytes to the file and nothing to stdout.  Monte
-Carlo output depends on numpy's binomial sampler, so the comparison is
-skipped under a numpy version other than the one the transcript was
-captured with.
+Carlo output depends on numpy's binomial sampler, so the stdout and exit
+code comparison is skipped under a numpy version other than the one the
+transcript was captured with; stderr (messages and usage text) does not
+depend on the sampler and is compared under any version.
 
 Regenerate the transcript (only for a deliberate output change) with
 
@@ -81,10 +82,10 @@ CASES = [
 
 
 def _run(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def _capture() -> dict:
@@ -93,8 +94,8 @@ def _capture() -> dict:
     try:
         cases = []
         for argv in CASES:
-            code, stdout = _run(argv)
-            cases.append({"argv": list(argv), "exit": code, "stdout": stdout})
+            code, stdout, stderr = _run(argv)
+            cases.append({"argv": list(argv), "exit": code, "stdout": stdout, "stderr": stderr})
     finally:
         os.chdir(cwd)
     return {"numpy": np.__version__, "cases": cases}
@@ -111,16 +112,17 @@ def test_transcript_covers_every_case():
 @pytest.mark.parametrize("index", range(len(CASES)), ids=lambda i: " ".join(CASES[i]) or "<none>")
 def test_cli_output_matches_transcript(index, monkeypatch, tmp_path):
     golden = _load()
-    if golden["numpy"] != np.__version__:
-        pytest.skip(f"transcript captured with numpy {golden['numpy']}, running {np.__version__}")
     monkeypatch.chdir(GOLDEN_DIR)
     monkeypatch.delenv("PICGOF_OUT_DIR", raising=False)
     case = golden["cases"][index]
-    code, stdout = _run(case["argv"])
+    code, stdout, stderr = _run(case["argv"])
+    assert stderr == case["stderr"]
+    if golden["numpy"] != np.__version__:
+        pytest.skip(f"transcript captured with numpy {golden['numpy']}, running {np.__version__}")
     assert (code, stdout) == (case["exit"], case["stdout"])
     if code == 0:
         target = tmp_path / "result"
-        assert _run([*case["argv"], "--out", str(target)]) == (0, "")
+        assert _run([*case["argv"], "--out", str(target)]) == (0, "", case["stderr"])
         assert target.read_bytes() == case["stdout"].encode("utf-8")
 
 

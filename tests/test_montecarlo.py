@@ -39,6 +39,31 @@ class TestReplicatedStatistics:
             )
             assert np.array_equal(null_stats, again)
 
+    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch):
+        # an inline stand-in records the pool size without starting processes
+        started = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(pg.montecarlo, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(pg.montecarlo.os, "cpu_count", lambda: 2)
+        replications = 5 * pg.montecarlo.CHUNK_SIZE
+        rows = pg.replicated_statistics(SCHEME, 15, pg.UNIFORM, 5, replications, workers=10**6)
+        assert started == [2]
+        serial = pg.replicated_statistics(SCHEME, 15, pg.UNIFORM, 5, replications, workers=1)
+        assert np.array_equal(rows, serial)
+
     def test_rows_depend_only_on_replication_index(self, null_stats):
         head = pg.replicated_statistics(SCHEME, 15, pg.UNIFORM, seed=5, replications=100)
         assert np.array_equal(head, null_stats[:100])
@@ -70,7 +95,7 @@ class TestReplicatedStatistics:
             pg.replicated_statistics(SCHEME, 10, pg.UNIFORM, seed=-1, replications=10)
         with pytest.raises(ValueError):
             pg.replicated_statistics(SCHEME, 10, pg.UNIFORM, seed=2**64, replications=10)
-        with pytest.raises(pg.InvalidN):
+        with pytest.raises(pg.CensoringError, match="sample size must be an integer"):
             pg.replicated_statistics(SCHEME, 0, pg.UNIFORM, seed=0, replications=10)
         with pytest.raises(ValueError):
             pg.replicated_statistics(
@@ -138,9 +163,9 @@ class TestTableSerialization:
         assert pg.CriticalValueTable.load(json_path).values == table.values
 
     def test_csv_rejects_bad_content(self):
-        with pytest.raises(pg.SchemeMismatch):
+        with pytest.raises(pg.CensoringError, match="expected header"):
             pg.CriticalValueTable.from_csv("a,b,c\n1,2,3\n")
-        with pytest.raises(pg.SchemeMismatch):
+        with pytest.raises(pg.CensoringError, match="exactly one table row"):
             pg.CriticalValueTable.from_csv(
                 "scheme_id,n,level,B,seed,c_plus,c_minus,c,k,t1,t2\n"
             )
@@ -206,9 +231,9 @@ class TestPower:
 
     def test_mismatched_table_raises(self, table):
         other = pg.CensoringScheme((0.0, 0.25, 0.6), (0.3, 1.0))
-        with pytest.raises(pg.SchemeMismatch):
+        with pytest.raises(pg.CensoringError, match="computed for scheme"):
             pg.power(other, 15, table, pg.UNIFORM, replications=10, seed=0)
-        with pytest.raises(pg.SchemeMismatch):
+        with pytest.raises(pg.CensoringError, match="computed for n = 15, got n = 16"):
             pg.power(SCHEME, 16, table, pg.UNIFORM, replications=10, seed=0)
 
     def test_provenance_recorded(self, table):
@@ -235,7 +260,7 @@ class TestPowerCurve:
             pg.power_curve(SCHEME, 15, table, "lehmann", (), replications=10, seed=0)
 
     def test_domain_error_from_grid(self, table):
-        with pytest.raises(pg.ParameterOutOfDomain):
+        with pytest.raises(pg.CensoringError, match="lehmann parameter must be > 0"):
             pg.power_curve(SCHEME, 15, table, "lehmann", (1.0, -2.0), replications=10, seed=0)
 
     def test_csv_emission(self, table):

@@ -28,7 +28,7 @@ class TestSurvivalValues:
 
     def test_degenerate_risk_set(self):
         # raw counts claiming a failure after every unit is gone
-        with pytest.raises(pg.DegenerateRiskSet):
+        with pytest.raises(pg.CensoringError, match="no units were on test"):
             pg.survival_values(2, (2, 1), (0, 0))
 
     @given(samples())

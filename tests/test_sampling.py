@@ -28,7 +28,7 @@ class TestIntervalFailureProbs:
         assert probs == (1.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_rejects_decreasing_cdf(self):
-        with pytest.raises(pg.NonMonotoneCdf):
+        with pytest.raises(pg.CensoringError, match="cdf decreases"):
             pg.interval_failure_probs(T1P1, lambda t: 1.0 - t)
 
     def test_clamps_rounding_spill(self):
@@ -67,6 +67,10 @@ class TestWithdrawCount:
         assert pg.withdraw_count(1 / 3, 2) == 0
         assert pg.withdraw_count(0.999, 1) == 0
 
+    def test_never_withdraws_more_than_survive(self):
+        # 1.0 * (2**63 - 1) rounds up to the float 2**63
+        assert pg.withdraw_count(1.0, 2**63 - 1) == 2**63 - 1
+
 
 class TestSimulateSample:
     def test_zero_cdf_withdrawal_cascade(self):
@@ -92,7 +96,7 @@ class TestSimulateSample:
 
     @pytest.mark.parametrize("n", [0, -1, 2.5, True, 2**63])
     def test_rejects_bad_n(self, n):
-        with pytest.raises(pg.InvalidN):
+        with pytest.raises(pg.CensoringError, match="sample size must be an integer"):
             pg.simulate_sample(T1P1, n, pg.UNIFORM, pg.derive_stream(0, 0))
 
     @settings(max_examples=60)

@@ -27,36 +27,36 @@ class TestSchemeValidation:
         assert scheme.m == 1
 
     def test_rejects_duplicate_times(self):
-        with pytest.raises(pg.NonIncreasingTimes):
+        with pytest.raises(pg.CensoringError, match="strictly increasing"):
             pg.CensoringScheme((0.0, 0.2, 0.2, 0.5), (0.5, 0.5, 1.0))
 
     def test_rejects_decreasing_times(self):
-        with pytest.raises(pg.NonIncreasingTimes):
+        with pytest.raises(pg.CensoringError, match="strictly increasing"):
             pg.CensoringScheme((0.0, 0.3, 0.2), (0.5, 1.0))
 
     def test_rejects_nonzero_start(self):
-        with pytest.raises(pg.FirstTimeNotZero):
+        with pytest.raises(pg.CensoringError, match="times must start at 0"):
             pg.CensoringScheme((0.1, 0.2, 0.5), (0.5, 1.0))
 
     @pytest.mark.parametrize("bad", [-0.1, 1.5])
     def test_rejects_percentage_out_of_range(self, bad):
-        with pytest.raises(pg.PercentageOutOfRange):
+        with pytest.raises(pg.CensoringError, match=r"outside \[0, 1\]"):
             pg.CensoringScheme((0.0, 0.2, 0.5), (bad, 1.0))
 
     def test_rejects_last_percentage_not_one(self):
-        with pytest.raises(pg.LastPercentageNotOne):
+        with pytest.raises(pg.CensoringError, match="must be exactly 1"):
             pg.CensoringScheme((0.0, 0.2, 0.5), (0.5, 0.99))
 
     def test_rejects_length_mismatch(self):
-        with pytest.raises(pg.LengthMismatch):
+        with pytest.raises(pg.CensoringError, match="expected 2 withdrawal percentages"):
             pg.CensoringScheme((0.0, 0.2, 0.5), (1.0,))
 
     def test_rejects_empty_design(self):
-        with pytest.raises(pg.LengthMismatch):
+        with pytest.raises(pg.CensoringError, match="at least one inspection time"):
             pg.CensoringScheme((0.0,), ())
 
     def test_rejects_nan_time(self):
-        with pytest.raises(pg.NonIncreasingTimes):
+        with pytest.raises(pg.CensoringError, match="strictly increasing"):
             pg.CensoringScheme((0.0, float("nan"), 0.5), (0.5, 1.0))
 
     @given(schemes())
@@ -73,36 +73,36 @@ class TestCensoredSample:
 
     def test_rejects_bad_conservation(self):
         scheme = pg.CensoringScheme((0.0, 0.25, 0.5), (0.4, 1.0))
-        with pytest.raises(pg.InvalidSample):
+        with pytest.raises(pg.CensoringError, match="account for all 10 units"):
             pg.CensoredSample(scheme, 10, (2, 1), (4, 2))
 
     def test_rejects_excess_failures(self):
         scheme = pg.CensoringScheme((0.0, 0.25, 0.5), (0.4, 1.0))
         # 8 failures after 2 + 4 units gone leave only 4 at risk in interval 2
-        with pytest.raises(pg.InvalidSample, match="more failures"):
+        with pytest.raises(pg.CensoringError, match="more failures"):
             pg.CensoredSample(scheme, 10, (2, 8), (4, 0))
 
     def test_rejects_excess_removals(self):
         scheme = pg.CensoringScheme((0.0, 0.25, 0.5), (0.4, 1.0))
-        with pytest.raises(pg.InvalidSample, match="more removals"):
+        with pytest.raises(pg.CensoringError, match="more removals"):
             pg.CensoredSample(scheme, 10, (2, 0), (9, 0))
 
     def test_rejects_negative_and_fractional_counts(self):
         scheme = pg.CensoringScheme((0.0, 0.25, 0.5), (0.4, 1.0))
-        with pytest.raises(pg.InvalidSample):
+        with pytest.raises(pg.CensoringError, match="failure count must be an integer"):
             pg.CensoredSample(scheme, 10, (-1, 5), (3, 3))
-        with pytest.raises(pg.InvalidSample):
+        with pytest.raises(pg.CensoringError, match="failure count must be an integer"):
             pg.CensoredSample(scheme, 10, (2.5, 1), (4, 2.5))
 
     def test_rejects_length_mismatch(self):
         scheme = pg.CensoringScheme((0.0, 0.25, 0.5), (0.4, 1.0))
-        with pytest.raises(pg.LengthMismatch):
+        with pytest.raises(pg.CensoringError, match="has 2 inspections but got 1 failure"):
             pg.CensoredSample(scheme, 10, (10,), (0, 0))
 
     @pytest.mark.parametrize("n", [0, -4, 2.5, "ten"])
     def test_rejects_bad_n(self, n):
         scheme = pg.CensoringScheme((0.0, 0.5), (1.0,))
-        with pytest.raises(pg.InvalidSample):
+        with pytest.raises(pg.CensoringError, match="^n must be an integer"):
             pg.CensoredSample(scheme, n, (0,), (0,))
 
 
@@ -131,7 +131,7 @@ class TestSerialization:
         assert again == sample
 
     def test_sample_json_missing_field(self):
-        with pytest.raises(pg.InvalidSample):
+        with pytest.raises(pg.CensoringError, match="sample JSON is missing fields"):
             pg.sample_from_json(json.dumps({"times": [0, 0.5], "n": 3}))
 
     def test_sample_csv_round_trip(self):
@@ -167,19 +167,19 @@ class TestSerialization:
         assert sample.n == 5
 
     def test_csv_rejects_bad_header(self):
-        with pytest.raises(pg.InvalidSample):
+        with pytest.raises(pg.CensoringError, match="expected header"):
             pg.sample_from_csv("time,fail,rem\n0.5,2,3\n")
 
     def test_csv_rejects_bad_rows(self):
-        with pytest.raises(pg.InvalidSample):
+        with pytest.raises(pg.CensoringError, match="expected 3 columns per row"):
             pg.sample_from_csv("t_i,x_i,r_i\n0.5,2\n")
-        with pytest.raises(pg.InvalidSample):
+        with pytest.raises(pg.CensoringError, match="failure count must be an integer"):
             pg.sample_from_csv("t_i,x_i,r_i\n0.5,two,3\n")
-        with pytest.raises(pg.InvalidSample):
+        with pytest.raises(pg.CensoringError, match="no data rows"):
             pg.sample_from_csv("t_i,x_i,r_i\n")
 
     def test_csv_rejects_invalid_times(self):
-        with pytest.raises(pg.NonIncreasingTimes):
+        with pytest.raises(pg.CensoringError, match="strictly increasing"):
             pg.sample_from_csv("t_i,x_i,r_i\n0.5,1,0\n0.4,1,2\n")
 
     @given(samples())
