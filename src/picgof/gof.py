@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
+import numpy as np
+
 from .errors import CensoringError
 from .schemes import CensoringScheme
 
@@ -39,17 +41,18 @@ class StatisticSet:
         return (self.c_plus, self.c_minus, self.c, self.k, self.t1, self.t2)
 
 
-def fold_deviations(d: Sequence[float]) -> tuple[float, float, float, float, float, float]:
-    """Raw statistic tuple (STAT_NAMES order) from a nonempty deviation sequence."""
-    m = len(d)
-    c_plus = max(d)
-    c_minus = max(-x for x in d)
-    s1 = 0.0
-    s2 = 0.0
-    for x in d:
-        s1 += x * x
-        s2 += abs(x)
-    return c_plus, c_minus, max(c_plus, c_minus), c_plus + c_minus, s1 / m, s2 / m
+def fold_deviations(d) -> np.ndarray:
+    """Raw statistics (rows x 6, STAT_NAMES order) of a (rows x m) deviation array, m >= 1,
+    folded column by column: each row has a left-to-right scalar loop's bits."""
+    d = np.asarray(d, dtype=float)
+    c_plus, c_minus, s1, s2 = d[:, 0], -d[:, 0], 0.0, 0.0
+    for x in d.T:
+        c_plus = np.where(x > c_plus, x, c_plus)
+        c_minus = np.where(-x > c_minus, -x, c_minus)
+        s1, s2 = s1 + x * x, s2 + np.abs(x)
+    m = d.shape[1]
+    c = np.where(c_minus > c_plus, c_minus, c_plus)
+    return np.column_stack((c_plus, c_minus, c, c_plus + c_minus, s1 / m, s2 / m))
 
 
 def compute_statistics(d: Sequence[float]) -> StatisticSet:
@@ -57,7 +60,7 @@ def compute_statistics(d: Sequence[float]) -> StatisticSet:
     d = tuple(d)
     if not d:
         raise CensoringError("cannot summarize an empty deviation vector")
-    return StatisticSet(*fold_deviations(d))
+    return StatisticSet(*fold_deviations([d])[0].tolist())
 
 
 def reject(

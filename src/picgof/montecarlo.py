@@ -1,10 +1,10 @@
 """Monte Carlo calibration: null critical values, p-values and power estimates.
 
-Every replication derives its own counter-based random stream from the pair
-(master seed, replication index).  Replications are dispatched in fixed-size
-chunks and reassembled in index order, so every result is a pure function of
-(scheme, n, model, seed, B): running with 1, 4 or 8 worker processes yields
-bit-identical outputs.
+Every replication draws from its own counter-based random stream, keyed by
+(master seed, replication index); one generator per chunk of CHUNK_SIZE
+replications is re-keyed to each index in turn.  Chunks are reassembled in
+index order, so every result is a pure function of (scheme, n, model, seed,
+B): running with 1, 4 or 8 worker processes yields bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .distributions import UNIFORM, AlternativeFamily, TabulatedCdf
 from .errors import CensoringError
 from .gof import STAT_NAMES, StatisticSet, fold_deviations
-from .reliability import survival_values
+from .reliability import product_limit
 from .sampling import Cdf, draw_counts, interval_failure_probs
 from .schemes import (
     MAX_N,
@@ -46,19 +46,21 @@ def derive_stream(seed: int, index: int) -> np.random.Generator:
     """The independent random stream used for replication ``index`` of a run."""
     if not 0 <= seed < 2**64:
         raise CensoringError(f"seed must be an integer in [0, 2**64), got {seed}")
-    return np.random.Generator(np.random.Philox(key=(seed, index)))
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
 def _statistic_chunk(args) -> np.ndarray:
     n, probs, percentages, null_survival, seed, start, stop = args
-    out = np.empty((stop - start, 6))
+    rng = derive_stream(seed, start)
+    state = rng.bit_generator.state
+    counts = []
     for rep in range(start, stop):
-        rng = derive_stream(seed, rep)
-        failures, removals = draw_counts(n, probs, percentages, rng)
-        est = survival_values(n, failures, removals)
-        d = [e - s for e, s in zip(est, null_survival)]
-        out[rep - start] = fold_deviations(d)
-    return out
+        # re-keying a fresh state gives the stream of derive_stream(seed, rep)
+        state["state"]["key"][1] = rep
+        rng.bit_generator.state = state
+        counts.append(draw_counts(n, probs, percentages, rng))
+    est = product_limit(n, *zip(*counts))
+    return fold_deviations(est - np.array(null_survival))
 
 
 def replicated_statistics(
@@ -221,10 +223,7 @@ def critical_values(
         raise CensoringError(f"level must lie strictly between 0 and 1, got {level!r}")
     stats = replicated_statistics(scheme, n, UNIFORM, seed, replications, workers)
     order = math.ceil(replications * (1.0 - level))
-    values = {}
-    for j, name in enumerate(STAT_NAMES):
-        column = np.sort(stats[:, j])
-        values[name] = float(column[order - 1])
+    values = {name: float(np.sort(stats[:, j])[order - 1]) for j, name in enumerate(STAT_NAMES)}
     return CriticalValueTable(
         scheme_id=scheme_id(scheme),
         n=int(n),
@@ -250,12 +249,8 @@ def p_value(
     which never returns 0 and is itself a valid p-value.
     """
     stats = replicated_statistics(scheme, n, UNIFORM, seed, replications, workers)
-    obs = observed.as_dict()
-    out = {}
-    for j, name in enumerate(STAT_NAMES):
-        hits = int(np.count_nonzero(stats[:, j] >= obs[name]))
-        out[name] = (1 + hits) / (replications + 1)
-    return out
+    hits = np.count_nonzero(stats >= np.array(observed.as_tuple()), axis=0)
+    return {name: (1 + int(h)) / (replications + 1) for name, h in zip(STAT_NAMES, hits)}
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,26 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import CensoringError
 from .schemes import CensoredSample
+
+
+def product_limit(n: int, failures, removals) -> np.ndarray:
+    """:func:`survival_values` of every row of (rows x m) count arrays, column by column."""
+    failures = np.asarray(failures, dtype=np.int64)
+    at_risk = np.full(len(failures), n, dtype=np.int64)
+    estimate = np.ones(len(failures))
+    out = np.empty(failures.shape)
+    for j, (x, r) in enumerate(zip(failures.T, np.asarray(removals, dtype=np.int64).T)):
+        live = at_risk > 0
+        if np.any(x[~live] > 0):
+            raise CensoringError(f"failures reported at inspection {j + 1} but no units were on test")
+        # an empty (or, for hand-fed counts, negative) risk set multiplies by exactly 1.0
+        out[:, j] = estimate = estimate * np.where(live, 1.0 - x / np.where(live, at_risk, 1), 1.0)
+        at_risk = at_risk - x - r
+    return out
 
 
 def survival_values(n: int, failures: Sequence[int], removals: Sequence[int]) -> list[float]:
@@ -25,19 +43,7 @@ def survival_values(n: int, failures: Sequence[int], removals: Sequence[int]) ->
     after the risk set is exhausted; that cannot happen for validated
     samples, only for hand-fed count vectors.
     """
-    values: list[float] = []
-    at_risk = n
-    estimate = 1.0
-    for i, (x, r) in enumerate(zip(failures, removals), start=1):
-        if at_risk > 0:
-            estimate *= 1.0 - x / at_risk
-        elif x > 0:
-            raise CensoringError(
-                f"failures reported at inspection {i} but no units were on test"
-            )
-        values.append(estimate)
-        at_risk -= x + r
-    return values
+    return product_limit(n, [failures], [removals])[0].tolist()
 
 
 def deviations(sample: CensoredSample, null_cdf: Callable[[float], float]) -> tuple[float, ...]:

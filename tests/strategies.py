@@ -74,3 +74,39 @@ def families():
         st.floats(0.3, 3.0).map(lambda b: pg.AlternativeFamily("centered", b)),
         st.floats(0.0, 0.45).map(lambda g: pg.AlternativeFamily("compressed", g)),
     )
+
+
+@st.composite
+def count_matrices(draw, max_rows=4, max_m=6):
+    """(n, failures, removals): rows of raw count trajectories over one m.
+
+    n reaches 2**53.  Rows may exhaust their risk set early, and removals
+    may overshoot the survivors, which leaves a negative risk set; no row
+    reports failures once its risk set is empty or negative.
+    """
+    n = draw(st.one_of(st.integers(1, 30), st.integers(1, 2**53)))
+    m = draw(st.integers(1, max_m))
+    failures, removals = [], []
+    for _ in range(draw(st.integers(1, max_rows))):
+        xs, rs = [], []
+        at_risk = n
+        for _ in range(m):
+            x = draw(st.integers(0, at_risk)) if at_risk > 0 else 0
+            r = draw(st.one_of(st.just(0), st.integers(0, max(at_risk - x, 0) + 2)))
+            xs.append(x)
+            rs.append(r)
+            at_risk -= x + r
+        failures.append(xs)
+        removals.append(rs)
+    return n, failures, removals
+
+
+@st.composite
+def deviation_matrices(draw, max_rows=4, max_m=8):
+    """Rows of deviations over one m, rich in ties and signed zeros."""
+    m = draw(st.integers(1, max_m))
+    value = st.one_of(
+        st.sampled_from([0.0, -0.0, 0.5, -0.5]), st.floats(-1.0, 1.0, allow_nan=False)
+    )
+    row = st.lists(value, min_size=m, max_size=m)
+    return draw(st.lists(row, min_size=1, max_size=max_rows))

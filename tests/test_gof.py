@@ -1,12 +1,45 @@
 """The six statistics: worked values, algebraic relations, rejection."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import picgof as pg
+from picgof.gof import fold_deviations
 from picgof.montecarlo import CriticalValueTable
-from strategies import deviation_vectors
+from strategies import deviation_matrices, deviation_vectors
+
+
+def reference_fold(d):
+    """The scalar fold the array code replaced, kept as a reference."""
+    m = len(d)
+    c_plus = max(d)
+    c_minus = max(-x for x in d)
+    s1 = 0.0
+    s2 = 0.0
+    for x in d:
+        s1 += x * x
+        s2 += abs(x)
+    return c_plus, c_minus, max(c_plus, c_minus), c_plus + c_minus, s1 / m, s2 / m
+
+
+def float_bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestFoldDeviations:
+    @given(deviation_matrices())
+    @example([[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0]])  # all-zero deviations
+    @example([[0.0, -0.0], [-0.0, 0.0]])  # equal maxima of opposite sign
+    @example([[0.4], [-0.3]])  # a single column
+    def test_rows_equal_the_scalar_loop_bit_for_bit(self, d):
+        out = fold_deviations(d)
+        assert out.shape == (len(d), 6)
+        for row, dev in zip(out, d):
+            assert float_bits(row) == float_bits(reference_fold(dev))
+            stats = pg.compute_statistics(dev).as_tuple()
+            assert float_bits(stats) == float_bits(row)
+            assert all(type(v) is float for v in stats)
 
 
 class TestComputeStatistics:

@@ -26,6 +26,11 @@ class TestDeriveStream:
         base = pg.derive_stream(3, 7).random(4)
         assert not np.array_equal(base, pg.derive_stream(3, 8).random(4))
         assert not np.array_equal(base, pg.derive_stream(4, 7).random(4))
+        # seeds of 2**63 and above must not be rounded through a float
+        top = pg.derive_stream(2**64 - 1, 0).random(4)
+        assert not np.array_equal(top, pg.derive_stream(0, 0).random(4))
+        high = pg.derive_stream(2**63, 0).random(4)
+        assert not np.array_equal(high, pg.derive_stream(2**63 + 1, 0).random(4))
 
 
 class TestReplicatedStatistics:
@@ -74,6 +79,14 @@ class TestReplicatedStatistics:
             sample = pg.simulate_sample(SCHEME, 15, pg.UNIFORM, pg.derive_stream(5, rep))
             stats = pg.compute_statistics(pg.deviations(sample, pg.UNIFORM))
             assert tuple(null_stats[rep]) == stats.as_tuple()
+        # either side of the chunk boundary, a seed above 2**63, and a sample
+        # size above 2**53, where numpy and Python division may round apart
+        for seed, n in ((5, 15), (2**63 + 5, 15), (5, 2**62)):
+            rows = pg.replicated_statistics(SCHEME, n, pg.UNIFORM, seed, replications=2049)
+            for rep in (0, 2047, 2048):
+                sample = pg.simulate_sample(SCHEME, n, pg.UNIFORM, pg.derive_stream(seed, rep))
+                stats = pg.compute_statistics(pg.deviations(sample, pg.UNIFORM))
+                assert tuple(rows[rep]) == stats.as_tuple()
 
     def test_alternative_rows_match_composed_pipeline(self):
         fam = pg.AlternativeFamily("lehmann", 2.0)
@@ -82,6 +95,13 @@ class TestReplicatedStatistics:
             sample = pg.simulate_sample(SCHEME, 12, fam, pg.derive_stream(8, rep))
             expected = pg.compute_statistics(pg.deviations(sample, pg.UNIFORM))
             assert tuple(stats[rep]) == expected.as_tuple()
+
+    def test_seeds_above_2_to_the_63_give_their_own_rows(self):
+        def rows(seed):
+            return pg.replicated_statistics(SCHEME, 15, pg.UNIFORM, seed, replications=200)
+
+        assert not np.array_equal(rows(2**64 - 1), rows(0))
+        assert not np.array_equal(rows(2**63), rows(2**63 + 1))
 
     def test_rejects_final_time_at_one(self):
         scheme = pg.CensoringScheme((0.0, 0.5, 1.0), (0.3, 1.0))

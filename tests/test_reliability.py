@@ -3,10 +3,32 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 import picgof as pg
-from strategies import families, no_removal_samples, samples
+from picgof.reliability import product_limit
+from strategies import count_matrices, families, no_removal_samples, samples
+
+
+def reference_survival_values(n, failures, removals):
+    """The scalar product-limit loop the array code replaced, kept as a reference."""
+    values = []
+    at_risk = n
+    estimate = 1.0
+    for i, (x, r) in enumerate(zip(failures, removals), start=1):
+        if at_risk > 0:
+            estimate *= 1.0 - x / at_risk
+        elif x > 0:
+            raise pg.CensoringError(
+                f"failures reported at inspection {i} but no units were on test"
+            )
+        values.append(estimate)
+        at_risk -= x + r
+    return values
+
+
+def float_bits(values):
+    return [float(v).hex() for v in values]
 
 
 def make_sample(times, pct, n, failures, removals):
@@ -46,6 +68,32 @@ class TestSurvivalValues:
             cum += x
             exact = Fraction(sample.n - cum, sample.n)
             assert abs(value - float(exact)) <= 1e-12
+
+
+class TestProductLimit:
+    @given(count_matrices())
+    @example((10, [[4, 0], [10, 0]], [[6, 0], [0, 0]]))  # risk sets exhausted after 1
+    @example((5, [[1, 0, 0]], [[6, 0, 0]]))  # a negative risk set
+    @example((2**53, [[2**53 - 1]], [[1]]))  # a single column at n = 2**53
+    @example((2**53, [[3, 2**53 - 5]] * 2, [[1, 1]] * 2))
+    def test_rows_equal_the_scalar_loop_bit_for_bit(self, counts):
+        n, failures, removals = counts
+        out = product_limit(n, failures, removals)
+        assert out.shape == (len(failures), len(failures[0]))
+        for row, x, r in zip(out, failures, removals):
+            assert float_bits(row) == float_bits(reference_survival_values(n, x, r))
+            values = pg.survival_values(n, x, r)
+            assert float_bits(values) == float_bits(row)
+            assert all(type(v) is float for v in values)
+
+    def test_names_the_first_inspection_failing_in_any_row(self):
+        failures = [[2, 0, 1], [2, 1, 0]]
+        removals = [[0, 0, 0], [0, 0, 0]]
+        for x, r in zip(failures, removals):
+            with pytest.raises(pg.CensoringError):
+                reference_survival_values(2, x, r)
+        with pytest.raises(pg.CensoringError, match="at inspection 2 but"):
+            product_limit(2, failures, removals)
 
 
 class TestDeviations:
