@@ -11,8 +11,10 @@ The other revision is checked out with ``git worktree`` under
 ``bench/run.py`` once with the same arguments, alternating which side goes
 first; all timing comes from those runs.  Per metric the JSON printed on
 stdout gives each side's median and quartiles, the per-pair change/parent
-ratios and the number of pairs the change wins (strictly better in the
-metric's direction from BENCHMARK.json).  ``--out`` also appends the
+ratios, their median with a seeded 95% percentile-bootstrap interval
+(``median_ratio_interval``), and the number of pairs the change wins
+(strictly better in the metric's direction from BENCHMARK.json).  A change
+is shown only where that interval excludes 1.  ``--out`` also appends the
 comparison to a BENCH file.
 """
 
@@ -20,12 +22,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+#: Resamples, seed and coverage of the bootstrap interval of a median ratio.
+BOOTSTRAP_RESAMPLES = 5000
+BOOTSTRAP_SEED = 0
+INTERVAL_LEVEL = 0.95
 
 
 def parse_args(argv=None):
@@ -63,6 +70,20 @@ def quartiles(values: list[float]) -> dict:
     return {"median": q2, "q1": q1, "q3": q3}
 
 
+def median_interval(values: list[float]) -> list[float] | None:
+    """Percentile-bootstrap interval of the median of ``values``, resampling
+    whole pairs with a fixed seed so that the same runs give the same interval."""
+    if not values:
+        return None
+    rng = random.Random(BOOTSTRAP_SEED)
+    medians = sorted(
+        statistics.median(rng.choices(values, k=len(values))) for _ in range(BOOTSTRAP_RESAMPLES)
+    )
+    tail = (1.0 - INTERVAL_LEVEL) / 2.0
+    return [medians[round(tail * (BOOTSTRAP_RESAMPLES - 1))],
+            medians[round((1.0 - tail) * (BOOTSTRAP_RESAMPLES - 1))]]
+
+
 def compare(runs: list[dict], directions: dict[str, str]) -> dict:
     out = {}
     for name, better in directions.items():
@@ -77,6 +98,7 @@ def compare(runs: list[dict], directions: dict[str, str]) -> dict:
             "parent": quartiles(parent),
             "ratios": ratios,
             "median_ratio": statistics.median(known) if known else None,
+            "median_ratio_interval": median_interval(known),
             "wins": wins,
             "pairs": len(runs),
         }

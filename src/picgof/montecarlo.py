@@ -1,10 +1,10 @@
 """Monte Carlo calibration: null critical values, p-values and power estimates.
 
-Every replication draws from its own counter-based random stream, keyed by
-(master seed, replication index); one generator per chunk of CHUNK_SIZE
-replications is re-keyed to each index in turn.  Chunks are reassembled in
-index order, so every result is a pure function of (scheme, n, model, seed,
-B): running with 1, 4 or 8 worker processes yields bit-identical outputs.
+Replications run in chunks of CHUNK_SIZE.  Chunk c draws interval i of all
+its replications with one array binomial from the Philox stream keyed by
+(master seed, c), with i in the counter's high word.  Chunks are reassembled
+in index order, so every result is a pure function of (scheme, n, model,
+seed, B): running with 1, 4 or 8 worker processes yields bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -13,8 +13,10 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import partial
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,25 +44,46 @@ TABLE_CSV_HEADER = "scheme_id,n,level,B,seed,c_plus,c_minus,c,k,t1,t2"
 POWER_CSV_HEADER = "family,param,stat,power,stderr"
 
 
-def derive_stream(seed: int, index: int) -> np.random.Generator:
-    """The independent random stream used for replication ``index`` of a run."""
+def derive_stream(seed: int, index: int, interval: int = 0) -> np.random.Generator:
+    """The independent random stream keyed by (seed, index), at ``interval``.
+
+    The interval selects the high word of the Philox counter, so the streams
+    of one key never overlap; interval 0 is the stream of the key alone.
+    """
     if not 0 <= seed < 2**64:
         raise CensoringError(f"seed must be an integer in [0, 2**64), got {seed}")
-    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+    key = np.array([seed, index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(counter=[0, 0, 0, interval], key=key))
 
 
-def _statistic_chunk(args) -> np.ndarray:
-    n, probs, percentages, null_survival, seed, start, stop = args
-    rng = derive_stream(seed, start)
-    state = rng.bit_generator.state
-    counts = []
-    for rep in range(start, stop):
-        # re-keying a fresh state gives the stream of derive_stream(seed, rep)
-        state["state"]["key"][1] = rep
-        rng.bit_generator.state = state
-        counts.append(draw_counts(n, probs, percentages, rng))
-    est = product_limit(n, *zip(*counts))
-    return fold_deviations(est - np.array(null_survival))
+def _statistic_chunk(n, percentages, null_survival, seed, replications, probs, start) -> np.ndarray:
+    """Statistics of one model's replications [start, min(start + CHUNK_SIZE, replications))."""
+    streams = [derive_stream(seed, start // CHUNK_SIZE, i) for i in range(len(probs))]
+    counts = draw_counts(n, probs, percentages, streams, min(CHUNK_SIZE, replications - start))
+    return fold_deviations(product_limit(n, *counts) - null_survival)
+
+
+def _replicate(scheme, n, models: Sequence[Cdf], seed, replications, workers) -> Iterator[np.ndarray]:
+    """:func:`replicated_statistics` of each model in turn, with every (model x chunk)
+    task mapped over one worker pool; a model's rows are yielded once its chunks are in."""
+    n = as_int(n, "sample size", 1, MAX_N)
+    replications = as_int(replications, "replications", 1)
+    if scheme.times[-1] >= 1.0:
+        raise CensoringError("uniformity statistics need the final inspection time below 1, "
+                             f"got {scheme.times[-1]!r}")
+    null_survival = np.array([1.0 - UNIFORM(t) for t in scheme.inspection_times])
+    chunk = partial(_statistic_chunk, n, scheme.percentages, null_survival, seed, replications)
+    starts = list(range(0, replications, CHUNK_SIZE))
+    probs = [q for q in map(partial(interval_failure_probs, scheme), models) for _ in starts]
+    cpus = os.cpu_count() or 1
+    workers = min(as_int(workers, "workers") or cpus, cpus, len(probs))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        parts = (pool.map if pool else map)(chunk, probs, starts * len(models))
+        for _ in models:
+            stats = np.empty((replications, len(STAT_NAMES)))
+            for start in starts:
+                stats[start : start + CHUNK_SIZE] = next(parts)
+            yield stats
 
 
 def replicated_statistics(
@@ -79,27 +102,8 @@ def replicated_statistics(
     ``workers`` (0 means one worker per CPU; never more than the CPU count
     or the number of chunks are started).
     """
-    n = as_int(n, "sample size", 1, MAX_N)
-    replications = as_int(replications, "replications", 1)
-    if scheme.times[-1] >= 1.0:
-        raise CensoringError(
-            "uniformity statistics need the final inspection time below 1, "
-            f"got {scheme.times[-1]!r}"
-        )
-    probs = interval_failure_probs(scheme, model)
-    null_survival = tuple(1.0 - UNIFORM(t) for t in scheme.inspection_times)
-    chunks = [
-        (n, probs, scheme.percentages, null_survival, seed, start, min(start + CHUNK_SIZE, replications))
-        for start in range(0, replications, CHUNK_SIZE)
-    ]
-    cpus = os.cpu_count() or 1
-    workers = min(as_int(workers, "workers") or cpus, cpus, len(chunks))
-    if workers == 1:
-        parts = [_statistic_chunk(chunk) for chunk in chunks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_statistic_chunk, chunks))
-    return np.vstack(parts)
+    [stats] = _replicate(scheme, n, [model], seed, replications, workers)
+    return stats
 
 
 @dataclass(frozen=True)
@@ -224,15 +228,8 @@ def critical_values(
     stats = replicated_statistics(scheme, n, UNIFORM, seed, replications, workers)
     order = math.ceil(replications * (1.0 - level))
     values = {name: float(np.sort(stats[:, j])[order - 1]) for j, name in enumerate(STAT_NAMES)}
-    return CriticalValueTable(
-        scheme_id=scheme_id(scheme),
-        n=int(n),
-        level=float(level),
-        replications=replications,
-        seed=seed,
-        values=values,
-        scheme=scheme,
-    )
+    return CriticalValueTable(scheme_id(scheme), int(n), float(level), replications, seed,
+                              values, scheme)
 
 
 def p_value(
@@ -282,21 +279,16 @@ def power(
     """
     critical.check_design(scheme, n)
     stats = replicated_statistics(scheme, n, alternative, seed, replications, workers)
-    freq = {}
-    err = {}
-    for j, name in enumerate(STAT_NAMES):
-        hits = int(np.count_nonzero(stats[:, j] > critical.values[name]))
-        f = hits / replications
-        freq[name] = f
-        err[name] = math.sqrt(f * (1.0 - f) / replications)
-    return PowerEstimate(
-        family=alternative.kind,
-        parameter=alternative.parameter,
-        power=freq,
-        stderr=err,
-        replications=replications,
-        seed=seed,
-    )
+    return _rejection_rates(stats, critical, alternative, seed)
+
+
+def _rejection_rates(stats, critical: CriticalValueTable, alternative, seed) -> PowerEstimate:
+    """The :class:`PowerEstimate` of ``alternative`` from its replicated statistics."""
+    b = len(stats)
+    freq = {name: int(np.count_nonzero(stats[:, j] > critical.values[name])) / b
+            for j, name in enumerate(STAT_NAMES)}
+    err = {name: math.sqrt(f * (1.0 - f) / b) for name, f in freq.items()}
+    return PowerEstimate(alternative.kind, alternative.parameter, freq, err, b, seed)
 
 
 def power_curve(
@@ -313,15 +305,16 @@ def power_curve(
 
     The same master seed is reused at every grid point (common random
     numbers), which makes power differences along the grid far less noisy
-    than independent runs would be.
+    than independent runs would be.  Every grid point's chunks share one
+    worker pool.
     """
     points = [float(p) for p in grid]
     if not points:
         raise CensoringError("empty parameter grid")
     families = [AlternativeFamily(family_kind, parameter=p) for p in points]
-    return [
-        power(scheme, n, critical, fam, replications, seed, workers) for fam in families
-    ]
+    critical.check_design(scheme, n)
+    curve = _replicate(scheme, n, families, seed, replications, workers)
+    return [_rejection_rates(stats, critical, fam, seed) for stats, fam in zip(curve, families)]
 
 
 def power_estimates_to_csv(estimates: Sequence[PowerEstimate]) -> str:

@@ -22,11 +22,14 @@ from .schemes import CensoredSample
 
 def product_limit(n: int, failures, removals) -> np.ndarray:
     """:func:`survival_values` of every row of (rows x m) count arrays, column by column."""
-    failures = np.asarray(failures, dtype=np.int64)
-    at_risk = np.full(len(failures), n, dtype=np.int64)
+    try:
+        failures, removals = (np.asarray(c, dtype=np.int64) for c in (failures, removals))
+        at_risk = np.full(len(failures), n, dtype=np.int64)
+    except OverflowError:
+        raise CensoringError("counts and n must lie in [-2**63, 2**63)") from None
     estimate = np.ones(len(failures))
     out = np.empty(failures.shape)
-    for j, (x, r) in enumerate(zip(failures.T, np.asarray(removals, dtype=np.int64).T)):
+    for j, (x, r) in enumerate(zip(failures.T, removals.T)):
         live = at_risk > 0
         if np.any(x[~live] > 0):
             raise CensoringError(f"failures reported at inspection {j + 1} but no units were on test")

@@ -9,8 +9,7 @@ at the inspection, and floor(p_i * survivors) surviving units are withdrawn
 
 from __future__ import annotations
 
-import math
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -22,16 +21,21 @@ from .schemes import MAX_N, CensoredSample, CensoringScheme, as_int
 Cdf = Callable[[float], float]
 
 
-def withdraw_count(percentage: float, survivors: int) -> int:
+def withdraw_count(percentage: float, survivors: int | np.ndarray) -> int | np.ndarray:
     """Units withdrawn at an inspection: floor(percentage * survivors).
 
     A tiny additive guard absorbs binary representation error in decimal
     percentages, so that e.g. 0.1 of 30 survivors withdraws exactly 3.  The
     count is capped at ``survivors``, since the float product can round
-    above them (1.0 * (2**63 - 1) is 2**63).
+    above them (1.0 * (2**63 - 1) is 2**63); the cap compares integers, so
+    an int64 array of survivors gets, elementwise, the int a Python int gets.
     """
-    count = math.floor(percentage * survivors + 1e-9)
-    return count if count <= survivors else survivors
+    s = np.asarray(survivors, dtype=np.int64)
+    count = np.floor(percentage * s + 1e-9)
+    # a float at or above 2**63 exceeds every int64 count and cannot be cast
+    fits = count < 2.0**63
+    out = np.where(fits, np.minimum(np.where(fits, count, 0.0).astype(np.int64), s), s)
+    return out if isinstance(survivors, np.ndarray) else int(out)
 
 
 def interval_failure_probs(scheme: CensoringScheme, cdf: Cdf) -> tuple[float, ...]:
@@ -49,12 +53,8 @@ def interval_failure_probs(scheme: CensoringScheme, cdf: Cdf) -> tuple[float, ..
             raise CensoringError(
                 f"cdf decreases between inspection times: F({t!r}) = {cur!r} < {prev!r}"
             )
-        if prev >= 1.0:
-            q = 0.0
-        else:
-            q = (cur - prev) / (1.0 - prev)
-            q = 0.0 if q < 0.0 else (1.0 if q > 1.0 else q)
-        probs.append(q)
+        q = 0.0 if prev >= 1.0 else (cur - prev) / (1.0 - prev)
+        probs.append(0.0 if q < 0.0 else (1.0 if q > 1.0 else q))
         prev = cur
     return tuple(probs)
 
@@ -63,20 +63,24 @@ def draw_counts(
     n: int,
     probs: tuple[float, ...],
     percentages: tuple[float, ...],
-    rng: np.random.Generator,
-) -> tuple[list[int], list[int]]:
-    """One trajectory of failure and removal counts from per-interval probabilities."""
-    failures: list[int] = []
-    removals: list[int] = []
-    last = len(probs) - 1
-    at_risk = n
-    for i, q in enumerate(probs):
-        x = int(rng.binomial(at_risk, q)) if at_risk > 0 else 0
-        survivors = at_risk - x
-        r = survivors if i == last else withdraw_count(percentages[i], survivors)
-        failures.append(x)
-        removals.append(r)
-        at_risk = survivors - r
+    streams: Sequence[np.random.Generator],
+    rows: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Failure and removal counts of ``rows`` trajectories, as (rows x m) int64 arrays.
+
+    Interval i draws the failures of every row with one array binomial from
+    ``streams[i]``; an empty risk set draws nothing.  The same generator
+    passed for every interval with ``rows`` = 1 is consumed in interval order.
+    """
+    m = len(probs)
+    failures = np.empty((rows, m), dtype=np.int64)
+    removals = np.empty((rows, m), dtype=np.int64)
+    at_risk = np.full(rows, n, dtype=np.int64)
+    for i, (q, rng) in enumerate(zip(probs, streams)):
+        failures[:, i] = rng.binomial(at_risk, q)
+        survivors = at_risk - failures[:, i]
+        removals[:, i] = survivors if i == m - 1 else withdraw_count(percentages[i], survivors)
+        at_risk = survivors - removals[:, i]
     return failures, removals
 
 
@@ -90,5 +94,5 @@ def simulate_sample(
     """
     n = as_int(n, "sample size", 1, MAX_N)
     probs = interval_failure_probs(scheme, cdf)
-    failures, removals = draw_counts(n, probs, scheme.percentages, rng)
-    return CensoredSample(scheme, n, tuple(failures), tuple(removals))
+    failures, removals = draw_counts(n, probs, scheme.percentages, [rng] * len(probs), 1)
+    return CensoredSample(scheme, n, tuple(failures[0].tolist()), tuple(removals[0].tolist()))

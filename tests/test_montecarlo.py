@@ -16,6 +16,27 @@ def null_stats():
     return pg.replicated_statistics(SCHEME, 15, pg.UNIFORM, seed=5, replications=3000)
 
 
+def reference_rows(scheme, n, model, seed, replications):
+    """Statistics of each replication, drawn one row at a time: row r of chunk
+    c takes one scalar binomial per interval i from derive_stream(seed, c, i)."""
+    probs = pg.interval_failure_probs(scheme, model)
+    last = len(probs) - 1
+    rows = []
+    for chunk in range(math.ceil(replications / pg.montecarlo.CHUNK_SIZE)):
+        streams = [pg.derive_stream(seed, chunk, i) for i in range(len(probs))]
+        for _ in range(min(pg.montecarlo.CHUNK_SIZE, replications - len(rows))):
+            failures, removals, at_risk = [], [], n
+            for i, (q, rng) in enumerate(zip(probs, streams)):
+                x = int(rng.binomial(at_risk, q)) if at_risk > 0 else 0
+                r = at_risk - x if i == last else pg.withdraw_count(scheme.percentages[i], at_risk - x)
+                failures.append(x)
+                removals.append(r)
+                at_risk -= x + r
+            sample = pg.CensoredSample(scheme, n, tuple(failures), tuple(removals))
+            rows.append(pg.compute_statistics(pg.deviations(sample, pg.UNIFORM)).as_tuple())
+    return rows
+
+
 class TestDeriveStream:
     def test_reproducible(self):
         a = pg.derive_stream(3, 7).random(4)
@@ -31,6 +52,13 @@ class TestDeriveStream:
         assert not np.array_equal(top, pg.derive_stream(0, 0).random(4))
         high = pg.derive_stream(2**63, 0).random(4)
         assert not np.array_equal(high, pg.derive_stream(2**63 + 1, 0).random(4))
+
+
+    def test_intervals_are_distinct_streams_of_one_key(self):
+        base = pg.derive_stream(3, 7).random(4)
+        assert np.array_equal(base, pg.derive_stream(3, 7, 0).random(4))
+        draws = [pg.derive_stream(3, 7, i).random(4) for i in range(3)]
+        assert len({d.tobytes() for d in draws}) == 3
 
 
 class TestReplicatedStatistics:
@@ -58,8 +86,8 @@ class TestReplicatedStatistics:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(pg.montecarlo, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(pg.montecarlo.os, "cpu_count", lambda: 2)
@@ -74,27 +102,25 @@ class TestReplicatedStatistics:
         assert np.array_equal(head, null_stats[:100])
 
     def test_rows_match_composed_pipeline(self, null_stats):
-        # the engine and the public one-sample path must agree bit for bit
+        # the engine and a one-row-at-a-time reference, fed from the same
+        # per-interval chunk streams, must agree bit for bit
+        expected = reference_rows(SCHEME, 15, pg.UNIFORM, seed=5, replications=3000)
         for rep in (0, 1, 17, 2999):
-            sample = pg.simulate_sample(SCHEME, 15, pg.UNIFORM, pg.derive_stream(5, rep))
-            stats = pg.compute_statistics(pg.deviations(sample, pg.UNIFORM))
-            assert tuple(null_stats[rep]) == stats.as_tuple()
+            assert tuple(null_stats[rep]) == expected[rep]
         # either side of the chunk boundary, a seed above 2**63, and a sample
         # size above 2**53, where numpy and Python division may round apart
         for seed, n in ((5, 15), (2**63 + 5, 15), (5, 2**62)):
             rows = pg.replicated_statistics(SCHEME, n, pg.UNIFORM, seed, replications=2049)
+            expected = reference_rows(SCHEME, n, pg.UNIFORM, seed, replications=2049)
             for rep in (0, 2047, 2048):
-                sample = pg.simulate_sample(SCHEME, n, pg.UNIFORM, pg.derive_stream(seed, rep))
-                stats = pg.compute_statistics(pg.deviations(sample, pg.UNIFORM))
-                assert tuple(rows[rep]) == stats.as_tuple()
+                assert tuple(rows[rep]) == expected[rep]
 
     def test_alternative_rows_match_composed_pipeline(self):
         fam = pg.AlternativeFamily("lehmann", 2.0)
         stats = pg.replicated_statistics(SCHEME, 12, fam, seed=8, replications=50)
+        expected = reference_rows(SCHEME, 12, fam, seed=8, replications=50)
         for rep in (0, 7, 49):
-            sample = pg.simulate_sample(SCHEME, 12, fam, pg.derive_stream(8, rep))
-            expected = pg.compute_statistics(pg.deviations(sample, pg.UNIFORM))
-            assert tuple(stats[rep]) == expected.as_tuple()
+            assert tuple(stats[rep]) == expected[rep]
 
     def test_seeds_above_2_to_the_63_give_their_own_rows(self):
         def rows(seed):

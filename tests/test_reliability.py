@@ -48,6 +48,13 @@ class TestSurvivalValues:
     def test_constant_after_exhaustion(self):
         assert pg.survival_values(4, (4, 0), (0, 0)) == [0.0, 0.0]
 
+    @pytest.mark.parametrize(
+        "n,failures,removals", [(5, (2**70,), (0,)), (5, (0,), (-2**64,)), (2**63, (0,), (0,))]
+    )
+    def test_counts_outside_int64(self, n, failures, removals):
+        with pytest.raises(pg.CensoringError, match=r"must lie in \[-2\*\*63, 2\*\*63\)"):
+            pg.survival_values(n, failures, removals)
+
     def test_degenerate_risk_set(self):
         # raw counts claiming a failure after every unit is gone
         with pytest.raises(pg.CensoringError, match="no units were on test"):

@@ -1,8 +1,10 @@
 """Sample generation: interval probabilities, withdrawals, and the binomial law."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
@@ -71,6 +73,15 @@ class TestWithdrawCount:
         # 1.0 * (2**63 - 1) rounds up to the float 2**63
         assert pg.withdraw_count(1.0, 2**63 - 1) == 2**63 - 1
 
+    @given(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=8), st.floats(0.0, 1.0))
+    @example([2**53 + 1], 1.0)  # 2**53 + 1 rounds down to the float 2**53
+    @example([2**63 - 1], 1.0)  # the float product 2**63 does not fit an int64
+    def test_array_form_equals_the_int_form(self, survivors, pct):
+        counts = pg.withdraw_count(pct, np.array(survivors, dtype=np.int64))
+        assert counts.dtype == np.int64
+        for s, count in zip(survivors, counts.tolist()):
+            assert count == pg.withdraw_count(pct, s) == min(math.floor(pct * s + 1e-9), s)
+
 
 class TestSimulateSample:
     def test_zero_cdf_withdrawal_cascade(self):
@@ -93,6 +104,24 @@ class TestSimulateSample:
         c = pg.simulate_sample(T1P1, 40, pg.UNIFORM, pg.derive_stream(11, 5))
         assert a == b
         assert a != c
+
+    @settings(max_examples=60)
+    @given(schemes(), families(), st.integers(1, 2**62), st.integers(0, 2**64 - 1))
+    def test_consumes_the_stream_like_a_scalar_loop(self, scheme, family, n, seed):
+        # one scalar binomial per interval, in interval order, none once the
+        # risk set is empty
+        rng = pg.derive_stream(seed, 0)
+        failures, removals, at_risk = [], [], n
+        for i, q in enumerate(pg.interval_failure_probs(scheme, family)):
+            x = int(rng.binomial(at_risk, q)) if at_risk > 0 else 0
+            last = i == len(scheme.percentages) - 1
+            r = at_risk - x if last else pg.withdraw_count(scheme.percentages[i], at_risk - x)
+            failures.append(x)
+            removals.append(r)
+            at_risk -= x + r
+        sample = pg.simulate_sample(scheme, n, family, pg.derive_stream(seed, 0))
+        assert (sample.failures, sample.removals) == (tuple(failures), tuple(removals))
+        assert all(type(v) is int for v in sample.failures + sample.removals)
 
     @pytest.mark.parametrize("n", [0, -1, 2.5, True, 2**63])
     def test_rejects_bad_n(self, n):
