@@ -72,6 +72,10 @@ def _replicate(scheme, n, models: Sequence[Cdf], seed, replications, workers) ->
         raise CensoringError("uniformity statistics need the final inspection time below 1, "
                              f"got {scheme.times[-1]!r}")
     null_survival = np.array([1.0 - UNIFORM(t) for t in scheme.inspection_times])
+    try:
+        stats = np.empty((replications, len(STAT_NAMES)))
+    except (MemoryError, ValueError):
+        raise CensoringError(f"{replications} replications do not fit in memory") from None
     chunk = partial(_statistic_chunk, n, scheme.percentages, null_survival, seed, replications)
     starts = list(range(0, replications, CHUNK_SIZE))
     probs = [q for q in map(partial(interval_failure_probs, scheme), models) for _ in starts]
@@ -79,8 +83,9 @@ def _replicate(scheme, n, models: Sequence[Cdf], seed, replications, workers) ->
     workers = min(as_int(workers, "workers") or cpus, cpus, len(probs))
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         parts = (pool.map if pool else map)(chunk, probs, starts * len(models))
-        for _ in models:
-            stats = np.empty((replications, len(STAT_NAMES)))
+        for k in range(len(models)):
+            if k:
+                stats = np.empty_like(stats)
             for start in starts:
                 stats[start : start + CHUNK_SIZE] = next(parts)
             yield stats
@@ -112,7 +117,9 @@ class CriticalValueTable:
 
     ``values`` maps statistic names (see STAT_NAMES) to critical values;
     the remaining fields record what the table was computed for, so that
-    tests against mismatched designs can be refused.
+    tests against mismatched designs can be refused.  Construction validates:
+    the level lies in (0, 1), every critical value is finite and ``scheme``,
+    when given, is the design ``scheme_id`` names.
     """
 
     scheme_id: str
@@ -122,6 +129,26 @@ class CriticalValueTable:
     seed: int
     values: dict[str, float]
     scheme: CensoringScheme | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "n", as_int(self.n, "n", 1, MAX_N))
+        object.__setattr__(self, "level", as_real(self.level, "level"))
+        object.__setattr__(self, "replications", as_int(self.replications, "B", 1))
+        object.__setattr__(self, "seed", as_int(self.seed, "seed", 0, 2**64))
+        try:
+            values = {name: as_real(self.values[name], name) for name in STAT_NAMES}
+        except (KeyError, TypeError) as exc:
+            raise CensoringError(f"malformed critical value table: {exc!r}") from None
+        object.__setattr__(self, "values", values)
+        if not 0.0 < self.level < 1.0:
+            raise CensoringError(f"table level must lie in (0, 1), got {self.level!r}")
+        for name, value in values.items():
+            if not math.isfinite(value):
+                raise CensoringError(f"critical value {name} must be finite, got {value!r}")
+        if self.scheme is not None and scheme_id(self.scheme) != self.scheme_id:
+            raise CensoringError(
+                f"table scheme_id {self.scheme_id} does not match its scheme, {scheme_id(self.scheme)}"
+            )
 
     def to_csv(self) -> str:
         row = [self.scheme_id, str(self.n), repr(self.level), str(self.replications), str(self.seed)]
@@ -157,50 +184,19 @@ class CriticalValueTable:
         if len(rows) != 1:
             raise CensoringError("expected exactly one table row")
         sid, n, level, b, seed, *values = rows[0]
-        return cls._from_dict({
-            "scheme_id": sid, "n": n, "level": level, "B": b, "seed": seed,
-            "critical_values": dict(zip(STAT_NAMES, values)),
-        })
+        return cls(sid, n, level, b, seed, dict(zip(STAT_NAMES, values)))
 
     @classmethod
     def from_json(cls, text: str) -> "CriticalValueTable":
-        return cls._from_dict(json.loads(text))
-
-    @classmethod
-    def _from_dict(cls, obj) -> "CriticalValueTable":
-        """The table of a parsed CSV row or JSON object.
-
-        Its level must lie in (0, 1), its critical values must be finite and
-        its ``scheme``, when present, must be the one ``scheme_id`` names.
-        """
+        obj = json.loads(text)
         try:
             scheme = None
             if "scheme" in obj:
                 scheme = CensoringScheme(obj["scheme"]["times"], obj["scheme"]["percentages"])
-            table = cls(
-                scheme_id=obj["scheme_id"],
-                n=as_int(obj["n"], "n", 1, MAX_N),
-                level=as_real(obj["level"], "level"),
-                replications=as_int(obj["B"], "B", 1),
-                seed=as_int(obj["seed"], "seed", 0, 2**64),
-                values={
-                    name: as_real(obj["critical_values"][name], name)
-                    for name in STAT_NAMES
-                },
-                scheme=scheme,
-            )
+            return cls(obj["scheme_id"], obj["n"], obj["level"], obj["B"], obj["seed"],
+                       obj["critical_values"], scheme)
         except (KeyError, TypeError) as exc:
             raise CensoringError(f"malformed critical value table: {exc!r}") from None
-        if not 0.0 < table.level < 1.0:
-            raise CensoringError(f"table level must lie in (0, 1), got {table.level!r}")
-        for name, value in table.values.items():
-            if not math.isfinite(value):
-                raise CensoringError(f"critical value {name} must be finite, got {value!r}")
-        if scheme is not None and scheme_id(scheme) != table.scheme_id:
-            raise CensoringError(
-                f"table scheme_id {table.scheme_id} does not match its scheme, {scheme_id(scheme)}"
-            )
-        return table
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "CriticalValueTable":
@@ -227,7 +223,8 @@ def critical_values(
         raise CensoringError(f"level must lie strictly between 0 and 1, got {level!r}")
     stats = replicated_statistics(scheme, n, UNIFORM, seed, replications, workers)
     order = math.ceil(replications * (1.0 - level))
-    values = {name: float(np.sort(stats[:, j])[order - 1]) for j, name in enumerate(STAT_NAMES)}
+    values = {name: float(np.partition(stats[:, j], order - 1)[order - 1])
+              for j, name in enumerate(STAT_NAMES)}
     return CriticalValueTable(scheme_id(scheme), int(n), float(level), replications, seed,
                               values, scheme)
 

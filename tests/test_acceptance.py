@@ -7,15 +7,20 @@ exact seed and replication count used in the test.
 """
 
 import math
+import pathlib
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import picgof as pg
-from oracle import enumerate_laws, exact_critical_value
 from picgof.cli import main as cli_main
 from picgof.distributions import test_general as general_statistics
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+from bench.exact import null_laws, quantile  # noqa: E402
 
 # Published 5% critical values for the four bundled designs at n = 40.
 REFERENCE_CRITICAL = {
@@ -91,33 +96,33 @@ def test_null_family_members_match_nominal_level(
 ENUM_B = 100_000
 ENUM_SEED = 3
 ATOM_TOL = 1e-9
+# Two toy designs at every n up to 5, and the bundled five-inspection designs
+# at n = 5; bench/exact.py enumerates every trajectory of each.
+TOY_DESIGNS = {"m1": ((0.0, 0.5), (1.0,)), "m2": ((0.0, 0.3, 0.6), (0.5, 1.0))}
+ENUM_CASES = [(n, d) for n in range(1, 6) for d in TOY_DESIGNS]
+ENUM_CASES += [(5, name) for name in pg.BUNDLED_SCHEME_NAMES]
 
 
-@pytest.mark.parametrize(
-    "times,percentages",
-    [((0.0, 0.5), (1.0,)), ((0.0, 0.3, 0.6), (0.5, 1.0))],
-    ids=["m1", "m2"],
-)
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_matches_exact_enumeration_on_tiny_designs(times, percentages, n):
-    scheme = pg.CensoringScheme(times, percentages)
-    laws = enumerate_laws(times, percentages, n)
+@pytest.mark.parametrize("n,design", ENUM_CASES, ids=[f"{n}-{d}" for n, d in ENUM_CASES])
+def test_matches_exact_enumeration_on_tiny_designs(n, design, bundled_schemes):
+    scheme = bundled_schemes.get(design) or pg.CensoringScheme(*TOY_DESIGNS[design])
+    laws = null_laws(scheme.times, scheme.percentages, n)
     sims = pg.replicated_statistics(
         scheme, n, pg.UNIFORM, seed=ENUM_SEED, replications=ENUM_B, workers=2
     )
     table = pg.critical_values(scheme, n, LEVEL, ENUM_B, seed=ENUM_SEED, workers=2)
     for j, stat in enumerate(pg.STAT_NAMES):
-        law = laws[stat]
-        atoms = np.array(sorted(law))
+        law = laws[j]
+        atoms = np.array([value for value, _ in law])
         column = sims[:, j]
         # every simulated value coincides with an enumerated atom
-        nearest = np.abs(column[:, None] - atoms[None, :]).min(axis=1)
+        nearest = np.abs(np.unique(column)[:, None] - atoms[None, :]).min(axis=1)
         assert float(nearest.max()) <= ATOM_TOL
         # merge float near-duplicates of the same mathematical atom (distinct
         # trajectories can round the same value differently); true gaps between
         # atoms of these tiny designs are orders of magnitude above ATOM_TOL
         clusters: list[list[float]] = []
-        for atom, prob in sorted(law.items()):
+        for atom, prob in law:
             if clusters and atom - clusters[-1][0] <= ATOM_TOL:
                 clusters[-1][1] += prob
             else:
@@ -127,12 +132,12 @@ def test_matches_exact_enumeration_on_tiny_designs(times, percentages, n):
             freq = float(np.mean(np.abs(column - atom) <= ATOM_TOL))
             se = math.sqrt(max(prob * (1.0 - prob), 0.0) / ENUM_B)
             assert abs(freq - prob) <= 4.0 * se + 1e-15, (
-                f"n={n} {stat} atom {atom}: {freq} vs {prob}"
+                f"{design} n={n} {stat} atom {atom}: {freq} vs {prob}"
             )
         # the simulated critical value is the exact one
-        exact = exact_critical_value(law, LEVEL)
+        exact = quantile(law, 1.0 - LEVEL)
         assert abs(table.values[stat] - exact) <= ATOM_TOL, (
-            f"n={n} {stat}: {table.values[stat]} vs exact {exact}"
+            f"{design} n={n} {stat}: {table.values[stat]} vs exact {exact}"
         )
 
 

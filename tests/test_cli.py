@@ -353,6 +353,7 @@ class TestErrorBoundary:
             (*POWER, "--critical", "cv_nan.csv"),
             (*POWER, "--critical", "cv_inf.csv"),
             (*POWER, "--critical", "cv_level_one.json"),
+            ("critical-values", "--scheme", "t1p1", "--n", "10", "--B", "99999999999999999999999"),
         ],
         ids=" ".join,
     )

@@ -147,6 +147,8 @@ class TestReplicatedStatistics:
             pg.replicated_statistics(
                 SCHEME, 10, pg.UNIFORM, seed=0, replications=10, workers=-2
             )
+        with pytest.raises(pg.CensoringError, match="do not fit in memory"):
+            pg.replicated_statistics(SCHEME, 10, pg.UNIFORM, seed=0, replications=10**23)
 
 
 class TestCriticalValues:
@@ -207,6 +209,20 @@ class TestTableSerialization:
         json_path.write_text(table.to_json())
         assert pg.CriticalValueTable.load(csv_path).values == table.values
         assert pg.CriticalValueTable.load(json_path).values == table.values
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("level", 1.5, "table level must lie in"),
+        ("values", {**dict.fromkeys(pg.STAT_NAMES, 0.2), "c": math.nan},
+         "critical value c must be finite"),
+        ("values", dict.fromkeys(pg.STAT_NAMES[:-1], 0.2), "malformed critical value table"),
+        ("n", 0, "n must be an integer"),
+        ("replications", 2.5, "B must be an integer"),
+        ("seed", 2**64, "seed must be an integer"),
+        ("scheme_id", "s0000000000", "does not match its scheme"),
+    ], ids=["level", "nan", "missing", "n", "B", "seed", "scheme_id"])
+    def test_construction_enforces_the_file_rules(self, table, field, value, message):
+        with pytest.raises(pg.CensoringError, match=message):
+            dataclasses.replace(table, **{field: value})
 
     def test_csv_rejects_bad_content(self):
         with pytest.raises(pg.CensoringError, match="expected header"):
