@@ -6,15 +6,19 @@ Run from anywhere inside the repository:
     python3 scripts/bench_pairs.py --against HEAD~1 --workload power-sweep \\
         --seed 1 --pairs 10 --seconds 30 --out pairs.json
 
-The other revision is checked out with ``git worktree`` under
-``.bench_work/`` and removed afterwards.  Each pair runs each tree's own
-``bench/run.py`` once with the same arguments, alternating which side goes
-first; all timing comes from those runs.  Per metric the JSON printed on
-stdout gives each side's median and quartiles, the per-pair change/parent
-ratios, their median with a seeded 95% percentile-bootstrap interval
-(``median_ratio_interval``), and the number of pairs the change wins
-(strictly better in the metric's direction from BENCHMARK.json).  A change
-is shown only where that interval excludes 1.  ``--out`` also appends the
+Both sides run from ``git worktree`` checkouts under ``.bench_work/``,
+removed afterwards, so that neither runs in a tree the other does not have:
+the parent side checks out the other revision, the change side a snapshot of
+this checkout's working tree (``git stash create``, or HEAD when the tree is
+clean).  Untracked files under ``src/`` or ``bench/`` would be missing from
+that snapshot, so the tool refuses to run while there are any.  Each pair
+runs each tree's own ``bench/run.py`` once with the same arguments,
+alternating which side goes first; all timing comes from those runs.  Per
+metric the JSON printed on stdout gives each side's median and quartiles,
+the per-pair change/parent ratios, their median with a seeded 95%
+percentile-bootstrap interval (``median_ratio_interval``), and the number of
+pairs the change wins (strictly better in the metric's direction from
+BENCHMARK.json).  A change is shown only where that interval excludes 1.  ``--out`` also appends the
 comparison to a BENCH file.
 """
 
@@ -111,21 +115,29 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))
     metrics = spec["per_layer"] if args.trace else spec["end_to_end"]
     directions = {m["name"]: m["better"] for m in metrics}
+    untracked = git("ls-files", "--others", "--exclude-standard", "--", "src", "bench")
+    if untracked:
+        raise SystemExit("bench_pairs: untracked files would be missing from the change side; "
+                         f"add or remove them first:\n{untracked}")
+    snapshot = git("stash", "create") or git("rev-parse", "HEAD")
     work = ROOT / ".bench_work"
     work.mkdir(exist_ok=True)
-    tree = work / f"against-{sha[:12]}"
-    git("worktree", "add", "--detach", str(tree), sha)
+    trees = {"change": work / f"change-{snapshot[:12]}", "parent": work / f"parent-{sha[:12]}"}
     try:
+        for side, rev in (("change", snapshot), ("parent", sha)):
+            git("worktree", "add", "--detach", str(trees[side]), rev)
         runs = []
         for i in range(args.pairs):
             order = ("change", "parent") if i % 2 == 0 else ("parent", "change")
             run = {"first": order[0]}
             for side in order:
                 print(f"bench_pairs: pair {i + 1}/{args.pairs}: {side}", file=sys.stderr)
-                run[side] = bench(ROOT if side == "change" else tree, args)
+                run[side] = bench(trees[side], args)
             runs.append(run)
     finally:
-        git("worktree", "remove", "--force", str(tree))
+        for tree in trees.values():
+            if tree.exists():
+                git("worktree", "remove", "--force", str(tree))
         git("worktree", "prune")
         try:
             work.rmdir()

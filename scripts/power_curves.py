@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Sweep the alternative families and write power curves to CSV.
 
-For each requested design and family, simulates critical values under the
-uniform null, then estimates the rejection frequency of every statistic
-along the family's parameter grid with common random numbers.  One CSV per
-(design, family) pair lands in --out-dir.
+For each requested design, runs ``picgof critical-values`` (seeded with
+--table-seed) into <out-dir>/<design>.csv, then, for each family,
+``picgof power-curve`` against that table into <out-dir>/<design>_<family>.csv:
+the rejection frequency of every statistic along the family's parameter grid,
+with common random numbers.  Every file is exactly what the CLI writes.  A
+design is named by its bundled name, a scheme file by its scheme id.
 """
 
 import argparse
@@ -13,6 +15,7 @@ import sys
 import time
 
 import picgof as pg
+from picgof.cli import main as cli
 
 
 def parse_args(argv=None):
@@ -38,37 +41,28 @@ def parse_args(argv=None):
 def main(argv=None) -> int:
     args = parse_args(argv)
     names = list(pg.BUNDLED_SCHEME_NAMES) if args.scheme == "all" else [args.scheme]
-    if args.family == "all":
-        families = sorted(pg.DEFAULT_PARAMETER_GRIDS)
-    else:
-        families = [args.family]
-    out_dir = pathlib.Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+    families = sorted(pg.DEFAULT_PARAMETER_GRIDS) if args.family == "all" else [args.family]
+    # absolute, so that $PICGOF_OUT_DIR cannot move the files away from --critical
+    out_dir = pathlib.Path(args.out_dir).resolve()
+    runs = ["--n", str(args.n), "--B", str(args.replications), "--threads", str(args.threads)]
     for name in names:
-        scheme = pg.load_scheme(name)
-        stem = name if name in pg.BUNDLED_SCHEME_NAMES else pg.scheme_id(scheme)
-        table = pg.critical_values(
-            scheme, args.n, args.level, args.replications,
-            seed=args.table_seed, workers=args.threads,
-        )
-        for family in families:
-            grid = pg.DEFAULT_PARAMETER_GRIDS[family]
+        try:
+            stem = name if name in pg.BUNDLED_SCHEME_NAMES else pg.scheme_id(pg.load_scheme(name))
+        except (pg.CensoringError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        table = out_dir / f"{stem}.csv"
+        calls = [(table, ["critical-values", "--level", str(args.level),
+                          "--seed", str(args.table_seed)])]
+        calls += [(out_dir / f"{stem}_{family}.csv",
+                   ["power-curve", "--family", family, "--critical", str(table),
+                    "--seed", str(args.seed)]) for family in families]
+        for path, argv in calls:
             started = time.perf_counter()
-            curve = pg.power_curve(
-                scheme, args.n, table, family, grid,
-                replications=args.replications, seed=args.seed,
-                workers=args.threads,
-            )
-            elapsed = time.perf_counter() - started
-            path = out_dir / f"{stem}_{family}.csv"
-            provenance = (
-                f"# scheme={pg.scheme_id(scheme)} n={args.n} level={args.level}"
-                f" B={args.replications} seed={args.seed}"
-                f" table_seed={args.table_seed}\n"
-            )
-            path.write_text(provenance + pg.power_estimates_to_csv(curve))
-            print(f"{path}  ({len(grid)} points, {elapsed:.1f}s)")
+            code = cli([*argv, "--scheme", name, *runs, "--out", str(path)])
+            if code:
+                return code
+            print(f"{path}  ({time.perf_counter() - started:.1f}s)")
     return 0
 
 

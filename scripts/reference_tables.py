@@ -2,9 +2,10 @@
 """Recompute the 5% critical value tables for the four bundled designs.
 
 Prints a side-by-side comparison against the published reference values and
-exits nonzero if any entry drifts beyond the tolerance.  With the default
-settings (n=40, B=20000, seed=1) every entry lands within 0.02.  The published
-values are the one copy in tests/test_acceptance.py (``REFERENCE_CRITICAL``).
+exits nonzero if any entry drifts beyond ``bench.checks.TABLE_TOLERANCE``
+(0.02).  With the default settings (n=40, B=20000, seed=1) every entry lands
+within it.  The published values are the one copy in tests/test_acceptance.py
+(``REFERENCE_CRITICAL``).
 """
 
 import argparse
@@ -15,7 +16,7 @@ import picgof as pg
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
-from bench.checks import reference_critical  # noqa: E402
+from bench.checks import TABLE_TOLERANCE, reference_critical  # noqa: E402
 
 
 def parse_args(argv=None):
@@ -25,7 +26,6 @@ def parse_args(argv=None):
     parser.add_argument("--B", type=int, default=20000, dest="replications")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--threads", type=int, default=2)
-    parser.add_argument("--tolerance", type=float, default=0.02)
     parser.add_argument(
         "--out-dir", default=None,
         help="also write one CSV table per design into this directory",
@@ -59,8 +59,8 @@ def main(argv=None) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
             (out_dir / f"{name}.csv").write_text(table.to_csv())
     print("-" * len(header))
-    print(f"worst |diff| = {worst:.4f} (tolerance {args.tolerance})")
-    return 0 if worst <= args.tolerance else 1
+    print(f"worst |diff| = {worst:.4f} (tolerance {TABLE_TOLERANCE})")
+    return 0 if worst <= TABLE_TOLERANCE else 1
 
 
 if __name__ == "__main__":

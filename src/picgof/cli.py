@@ -75,72 +75,64 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--B", type=int, default=20000, dest="replications",
-                       help="Monte Carlo replications (default 20000)")
+    def command(name, run, help, design=True, monte_carlo=True):
+        """Add subcommand ``name`` with the flags it shares with the others."""
+        p = sub.add_parser(name, help=help)
+        if design:
+            p.add_argument("--scheme", required=True, help="bundled scheme name or JSON path")
+            p.add_argument("--n", type=int, default=40, help="sample size (default 40)")
+        if monte_carlo:
+            p.add_argument("--B", type=int, default=20000, dest="replications",
+                           help="Monte Carlo replications (default 20000)")
+            p.add_argument("--threads", type=int, default=1, dest="workers",
+                           help="worker processes, never more than the CPU count; "
+                           "0 means one per CPU (default 1)")
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-        p.add_argument("--threads", type=int, default=1, dest="workers",
-                       help="worker processes, never more than the CPU count; "
-                       "0 means one per CPU (default 1)")
         p.add_argument("--out", help="output path; stdout when omitted")
         p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
+        p.set_defaults(run=run)
+        return p
 
-    cv = sub.add_parser("critical-values", help="simulate a null critical value table")
-    cv.add_argument("--scheme", required=True, help="bundled scheme name or JSON path")
-    cv.add_argument("--n", type=int, default=40, help="sample size (default 40)")
+    cv = command("critical-values", _run_critical_values, "simulate a null critical value table")
     cv.add_argument("--level", type=float, default=0.05, help="test level (default 0.05)")
-    common(cv)
-    cv.set_defaults(run=_run_critical_values)
 
-    pw = sub.add_parser("power", help="rejection rate under one alternative")
-    pw.add_argument("--scheme", required=True)
-    pw.add_argument("--n", type=int, default=40)
+    pw = command("power", _run_power, "rejection rate under one alternative")
     pw.add_argument("--alt", required=True,
                     help="alternative, e.g. lehmann:2.0, centered:0.5, compressed:0.25")
     pw.add_argument("--critical", required=True, help="stored critical value table")
-    common(pw)
-    pw.set_defaults(run=_run_power)
 
-    pc = sub.add_parser("power-curve", help="power along a parameter grid")
-    pc.add_argument("--scheme", required=True)
-    pc.add_argument("--n", type=int, default=40)
+    pc = command("power-curve", _run_power_curve, "power along a parameter grid")
     pc.add_argument("--family", required=True, choices=tuple(DEFAULT_PARAMETER_GRIDS))
     pc.add_argument("--grid", type=_grid,
                     help="comma-separated parameter values (default: built-in grid)")
     pc.add_argument("--critical", required=True)
-    common(pc)
-    pc.set_defaults(run=_run_power_curve)
 
-    ts = sub.add_parser("test", help="test a data file for fit")
+    ts = command("test", _run_test, "test a data file for fit", design=False)
     ts.add_argument("--data", required=True, help="sample file (.json or CSV)")
     ts.add_argument("--null", default="uniform",
                     help="hypothesized model (default uniform); e.g. lehmann:0.8 or table:f0.csv")
-    common(ts)
-    ts.set_defaults(run=_run_test)
 
-    sim = sub.add_parser("simulate", help="draw one synthetic sample")
-    sim.add_argument("--scheme", required=True)
-    sim.add_argument("--n", type=int, default=40)
+    sim = command("simulate", _run_simulate, "draw one synthetic sample", monte_carlo=False)
     sim.add_argument("--alt", default="uniform", help="model to sample from (default uniform)")
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--out", help="output path; stdout when omitted")
-    sim.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
-    sim.set_defaults(run=_run_simulate)
     return parser
+
+
+def _provenance(head: dict) -> str:
+    """``head`` as space-separated ``key=value`` pairs, ``scheme_id`` written ``scheme``."""
+    return " ".join(f"{'scheme' if k == 'scheme_id' else k}={v}" for k, v in head.items())
 
 
 def _write(ns: argparse.Namespace, head: dict, rows: str, payload: dict) -> None:
     """Write one result to ``--out`` or, without it, to stdout.
 
-    JSON is one object, ``head`` followed by ``payload``.  CSV is a
-    ``# key=value`` provenance line made from ``head`` (``scheme_id`` is
-    written ``scheme``; no line when ``head`` is empty) followed by ``rows``.
+    JSON is one object, ``head`` followed by ``payload``.  CSV is the
+    ``# key=value`` provenance line of ``head`` (no line when ``head`` is
+    empty) followed by ``rows``.
     """
     if ns.fmt == "json":
         text = json.dumps({**head, **payload}) + "\n"
     else:
-        fields = " ".join(f"{'scheme' if k == 'scheme_id' else k}={v}" for k, v in head.items())
-        text = (f"# {fields}\n" if head else "") + rows
+        text = (f"# {_provenance(head)}\n" if head else "") + rows
     if ns.out is None:
         sys.stdout.write(text)
         return
@@ -209,10 +201,8 @@ def _run_simulate(ns: argparse.Namespace) -> None:
     scheme = load_scheme(ns.scheme)
     sample = simulate_sample(scheme, ns.n, model, derive_stream(ns.seed, 0))
     _write(ns, {}, sample_to_csv(sample), json.loads(sample_to_json(sample)))
-    print(
-        f"simulate: scheme={scheme_id(scheme)} n={ns.n} alt={ns.alt} seed={ns.seed}",
-        file=sys.stderr,
-    )
+    head = {"scheme_id": scheme_id(scheme), "n": ns.n, "alt": ns.alt, "seed": ns.seed}
+    print(f"simulate: {_provenance(head)}", file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:

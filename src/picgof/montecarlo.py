@@ -40,7 +40,7 @@ from .schemes import (
 #: on the worker count.
 CHUNK_SIZE = 2048
 
-TABLE_CSV_HEADER = "scheme_id,n,level,B,seed,c_plus,c_minus,c,k,t1,t2"
+TABLE_CSV_HEADER = ",".join(("scheme_id", "n", "level", "B", "seed", *STAT_NAMES))
 POWER_CSV_HEADER = "family,param,stat,power,stderr"
 
 
@@ -255,8 +255,6 @@ class PowerEstimate:
     parameter: float | None
     power: dict[str, float]
     stderr: dict[str, float]
-    replications: int
-    seed: int
 
 
 def power(
@@ -276,16 +274,16 @@ def power(
     """
     critical.check_design(scheme, n)
     stats = replicated_statistics(scheme, n, alternative, seed, replications, workers)
-    return _rejection_rates(stats, critical, alternative, seed)
+    return _rejection_rates(stats, critical, alternative)
 
 
-def _rejection_rates(stats, critical: CriticalValueTable, alternative, seed) -> PowerEstimate:
+def _rejection_rates(stats, critical: CriticalValueTable, alternative) -> PowerEstimate:
     """The :class:`PowerEstimate` of ``alternative`` from its replicated statistics."""
     b = len(stats)
     freq = {name: int(np.count_nonzero(stats[:, j] > critical.values[name])) / b
             for j, name in enumerate(STAT_NAMES)}
     err = {name: math.sqrt(f * (1.0 - f) / b) for name, f in freq.items()}
-    return PowerEstimate(alternative.kind, alternative.parameter, freq, err, b, seed)
+    return PowerEstimate(alternative.kind, alternative.parameter, freq, err)
 
 
 def power_curve(
@@ -311,7 +309,7 @@ def power_curve(
     families = [AlternativeFamily(family_kind, parameter=p) for p in points]
     critical.check_design(scheme, n)
     curve = _replicate(scheme, n, families, seed, replications, workers)
-    return [_rejection_rates(stats, critical, fam, seed) for stats, fam in zip(curve, families)]
+    return [_rejection_rates(stats, critical, fam) for stats, fam in zip(curve, families)]
 
 
 def power_estimates_to_csv(estimates: Sequence[PowerEstimate]) -> str:

@@ -6,6 +6,7 @@ import json
 import os
 import re
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
@@ -15,7 +16,11 @@ from hypothesis import strategies as st
 from test_cli_golden import CASES, GOLDEN_DIR
 
 import picgof as pg
-from picgof.cli import main
+from picgof.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+from scripts.power_curves import main as power_curves  # noqa: E402
 
 
 def run(capsys, *args):
@@ -266,7 +271,47 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
-        assert run(capsys, "test", "--help")[0] == 0
+        for command in VOCABULARY:
+            assert run(capsys, command, "--help")[0] == 0
+
+
+#: Per subcommand: its required flags, and every dest with its value when only
+#: those are given.
+VOCABULARY = {
+    "critical-values": (
+        ["--scheme", "t1p1"],
+        {"scheme": "t1p1", "n": 40, "replications": 20000, "workers": 1,
+         "seed": 0, "out": None, "fmt": "csv", "level": 0.05},
+    ),
+    "power": (
+        ["--scheme", "t1p1", "--alt", "lehmann:2.0", "--critical", "cv.csv"],
+        {"scheme": "t1p1", "n": 40, "replications": 20000, "workers": 1,
+         "seed": 0, "out": None, "fmt": "csv", "alt": "lehmann:2.0", "critical": "cv.csv"},
+    ),
+    "power-curve": (
+        ["--scheme", "t1p1", "--family", "lehmann", "--critical", "cv.csv"],
+        {"scheme": "t1p1", "n": 40, "replications": 20000, "workers": 1,
+         "seed": 0, "out": None, "fmt": "csv", "family": "lehmann", "grid": None,
+         "critical": "cv.csv"},
+    ),
+    "test": (
+        ["--data", "sample.csv"],
+        {"replications": 20000, "workers": 1, "seed": 0, "out": None, "fmt": "csv",
+         "data": "sample.csv", "null": "uniform"},
+    ),
+    "simulate": (
+        ["--scheme", "t1p1"],
+        {"scheme": "t1p1", "n": 40, "seed": 0, "out": None, "fmt": "csv", "alt": "uniform"},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", VOCABULARY)
+def test_vocabulary(command):
+    flags, dests = VOCABULARY[command]
+    parsed = vars(build_parser().parse_args([command, *flags]))
+    del parsed["run"]
+    assert parsed == {"command": command, **dests}
 
 
 BAD_INPUTS = {
@@ -448,3 +493,18 @@ class TestOutputPaths:
             assert code == 0
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_power_curves_script_writes_what_the_cli_writes(capsys, tmp_path):
+    sweep = ["--family", "lehmann", "--B", "50", "--threads", "1", "--out-dir", str(tmp_path)]
+    assert power_curves(sweep) == 0
+    capsys.readouterr()
+    table = tmp_path / "t1p1.csv"
+    code, out, _ = run(capsys, "critical-values", "--scheme", "t1p1", "--n", "40",
+                       "--level", "0.05", "--B", "50", "--seed", "1")
+    assert code == 0
+    assert table.read_bytes() == out.encode("utf-8")
+    code, out, _ = run(capsys, "power-curve", "--scheme", "t1p1", "--n", "40",
+                       "--family", "lehmann", "--critical", str(table), "--B", "50", "--seed", "0")
+    assert code == 0
+    assert (tmp_path / "t1p1_lehmann.csv").read_bytes() == out.encode("utf-8")

@@ -302,7 +302,6 @@ class TestPower:
         fam = pg.AlternativeFamily("compressed", 0.2)
         est = pg.power(SCHEME, 15, table, fam, replications=300, seed=11)
         assert (est.family, est.parameter) == ("compressed", 0.2)
-        assert (est.replications, est.seed) == (300, 11)
 
 
 class TestPowerCurve:
