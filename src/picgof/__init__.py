@@ -24,17 +24,14 @@ from .errors import CensoringError, FamilySyntaxError
 from .gof import STAT_NAMES, StatisticSet, compute_statistics, reject
 from .montecarlo import (
     CriticalValueTable,
-    PowerEstimate,
     critical_values,
     derive_stream,
     p_value,
     power,
-    power_curve,
-    power_estimates_to_csv,
     replicated_statistics,
 )
 from .reliability import deviations, survival_values
-from .sampling import interval_failure_probs, simulate_sample, withdraw_count
+from .sampling import simulate_sample
 from .schemes import (
     BUNDLED_SCHEME_NAMES,
     CensoredSample,
@@ -61,7 +58,6 @@ __all__ = [
     "DEFAULT_PARAMETER_GRIDS",
     "FAMILY_KINDS",
     "FamilySyntaxError",
-    "PowerEstimate",
     "STAT_NAMES",
     "StatisticSet",
     "TabulatedCdf",
@@ -70,13 +66,10 @@ __all__ = [
     "critical_values",
     "derive_stream",
     "deviations",
-    "interval_failure_probs",
     "load_scheme",
     "p_value",
     "parse_family",
     "power",
-    "power_curve",
-    "power_estimates_to_csv",
     "reject",
     "replicated_statistics",
     "sample_from_csv",
@@ -90,5 +83,4 @@ __all__ = [
     "survival_values",
     "test_general",
     "transform_scheme",
-    "withdraw_count",
 ]

@@ -23,18 +23,16 @@ import os
 import sys
 from pathlib import Path
 
-from .distributions import DEFAULT_PARAMETER_GRIDS, parse_family, test_general, transform_scheme
+from .distributions import (
+    DEFAULT_PARAMETER_GRIDS,
+    AlternativeFamily,
+    parse_family,
+    test_general,
+    transform_scheme,
+)
 from .errors import CensoringError, FamilySyntaxError
 from .gof import STAT_NAMES
-from .montecarlo import (
-    CriticalValueTable,
-    critical_values,
-    derive_stream,
-    p_value,
-    power,
-    power_curve,
-    power_estimates_to_csv,
-)
+from .montecarlo import CriticalValueTable, critical_values, derive_stream, p_value, power
 from .sampling import simulate_sample
 from .schemes import (
     load_input,
@@ -150,34 +148,42 @@ def _run_critical_values(ns: argparse.Namespace) -> None:
     _write(ns, {}, table.to_csv(), json.loads(table.to_json()))
 
 
-def _run_power(ns: argparse.Namespace) -> None:
-    alternative = parse_family(ns.alt)
+def _estimate_power(ns: argparse.Namespace, models: list) -> tuple[dict, str, list[dict]]:
+    """Run :func:`power` on ``models`` for the design and table ``ns`` names.
+
+    Returns the provenance head, the long-form CSV rows (one per statistic per
+    model, each model named by its ``kind`` and ``parameter``) and one JSON
+    dict per model.
+    """
     scheme = load_scheme(ns.scheme)
     table = CriticalValueTable.load(ns.critical)
-    est = power(scheme, ns.n, table, alternative, ns.replications, ns.seed, ns.workers)
+    freq, stderr = power(scheme, ns.n, table, models, ns.replications, ns.seed, ns.workers)
     head = {"scheme_id": scheme_id(scheme), "n": ns.n, "level": table.level,
             "B": ns.replications, "seed": ns.seed}
+    lines, points = ["family,param,stat,power,stderr"], []
+    for model, rates, errors in zip(models, freq.tolist(), stderr.tolist()):
+        param = "" if model.parameter is None else repr(model.parameter)
+        lines += [f"{model.kind},{param},{name},{f!r},{e!r}"
+                  for name, f, e in zip(STAT_NAMES, rates, errors)]
+        points.append({"parameter": model.parameter, "power": dict(zip(STAT_NAMES, rates)),
+                       "stderr": dict(zip(STAT_NAMES, errors))})
+    return head, "\n".join(lines) + "\n", points
+
+
+def _run_power(ns: argparse.Namespace) -> None:
+    alternative = parse_family(ns.alt)
+    head, rows, [point] = _estimate_power(ns, [alternative])
     # CSV names the alternative by its spec; JSON by the payload's family and parameter
     if ns.fmt == "csv":
         head["alt"] = ns.alt
-    _write(ns, head, power_estimates_to_csv([est]), {
-        "family": est.family, "parameter": est.parameter,
-        "power": est.power, "stderr": est.stderr,
-    })
+    _write(ns, head, rows, {"family": alternative.kind, **point})
 
 
 def _run_power_curve(ns: argparse.Namespace) -> None:
-    scheme = load_scheme(ns.scheme)
-    table = CriticalValueTable.load(ns.critical)
     grid = ns.grid if ns.grid is not None else DEFAULT_PARAMETER_GRIDS[ns.family]
-    estimates = power_curve(
-        scheme, ns.n, table, ns.family, grid, ns.replications, ns.seed, ns.workers
-    )
-    head = {"scheme_id": scheme_id(scheme), "n": ns.n, "level": table.level,
-            "B": ns.replications, "seed": ns.seed, "family": ns.family}
-    _write(ns, head, power_estimates_to_csv(estimates), {"points": [
-        {"parameter": e.parameter, "power": e.power, "stderr": e.stderr} for e in estimates
-    ]})
+    models = [AlternativeFamily(ns.family, p) for p in grid]
+    head, rows, points = _estimate_power(ns, models)
+    _write(ns, {**head, "family": ns.family}, rows, {"points": points})
 
 
 def _run_test(ns: argparse.Namespace) -> None:

@@ -91,7 +91,7 @@ class AlternativeFamily:
         if self.kind not in FAMILY_KINDS:
             raise CensoringError(f"unknown family {self.kind!r}, expected one of {FAMILY_KINDS}")
         if self.parameter is not None:
-            object.__setattr__(self, "parameter", float(self.parameter))
+            object.__setattr__(self, "parameter", as_real(self.parameter, f"{self.kind} parameter"))
         p = self.parameter
         if self.kind == "uniform":
             if p is not None:

@@ -16,11 +16,11 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .distributions import UNIFORM, AlternativeFamily, TabulatedCdf
+from .distributions import UNIFORM
 from .errors import CensoringError
 from .gof import STAT_NAMES, StatisticSet, fold_deviations
 from .reliability import product_limit
@@ -41,7 +41,6 @@ from .schemes import (
 CHUNK_SIZE = 2048
 
 TABLE_CSV_HEADER = ",".join(("scheme_id", "n", "level", "B", "seed", *STAT_NAMES))
-POWER_CSV_HEADER = "family,param,stat,power,stderr"
 
 
 def derive_stream(seed: int, index: int, interval: int = 0) -> np.random.Generator:
@@ -247,78 +246,31 @@ def p_value(
     return {name: (1 + int(h)) / (replications + 1) for name, h in zip(STAT_NAMES, hits)}
 
 
-@dataclass(frozen=True)
-class PowerEstimate:
-    """Estimated rejection frequency of each statistic under one alternative."""
-
-    family: str
-    parameter: float | None
-    power: dict[str, float]
-    stderr: dict[str, float]
-
-
 def power(
     scheme: CensoringScheme,
     n: int,
     critical: CriticalValueTable,
-    alternative: AlternativeFamily | TabulatedCdf,
+    models: Sequence[Cdf],
     replications: int = 20000,
     seed: int = 0,
     workers: int = 1,
-) -> PowerEstimate:
-    """Rejection frequency of each statistic when sampling from ``alternative``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rejection frequency of each statistic when sampling from each of ``models``.
 
-    Rejection is strict exceedance of the critical value.  The binomial
-    standard error sqrt(f (1 - f) / B) is reported per statistic.  The table
-    must have been computed for the same scheme and n.
+    Returns ``(freq, stderr)``, two (len(models) x 6) arrays whose rows follow
+    ``models`` and whose columns follow STAT_NAMES.  Rejection is strict
+    exceedance of the critical value; ``stderr`` is the binomial standard
+    error sqrt(f (1 - f) / B).  Every model reuses the master seed (common
+    random numbers), which makes power differences between models far less
+    noisy than independent runs would be, and every model's chunks share one
+    worker pool.  The table must have been computed for the same scheme and n.
     """
+    if not models:
+        raise CensoringError("power needs at least one model")
     critical.check_design(scheme, n)
-    stats = replicated_statistics(scheme, n, alternative, seed, replications, workers)
-    return _rejection_rates(stats, critical, alternative)
-
-
-def _rejection_rates(stats, critical: CriticalValueTable, alternative) -> PowerEstimate:
-    """The :class:`PowerEstimate` of ``alternative`` from its replicated statistics."""
-    b = len(stats)
-    freq = {name: int(np.count_nonzero(stats[:, j] > critical.values[name])) / b
-            for j, name in enumerate(STAT_NAMES)}
-    err = {name: math.sqrt(f * (1.0 - f) / b) for name, f in freq.items()}
-    return PowerEstimate(alternative.kind, alternative.parameter, freq, err)
-
-
-def power_curve(
-    scheme: CensoringScheme,
-    n: int,
-    critical: CriticalValueTable,
-    family_kind: str,
-    grid: Iterable[float],
-    replications: int = 20000,
-    seed: int = 0,
-    workers: int = 1,
-) -> list[PowerEstimate]:
-    """Power at each parameter value of one family, in grid order.
-
-    The same master seed is reused at every grid point (common random
-    numbers), which makes power differences along the grid far less noisy
-    than independent runs would be.  Every grid point's chunks share one
-    worker pool.
-    """
-    points = [float(p) for p in grid]
-    if not points:
-        raise CensoringError("empty parameter grid")
-    families = [AlternativeFamily(family_kind, parameter=p) for p in points]
-    critical.check_design(scheme, n)
-    curve = _replicate(scheme, n, families, seed, replications, workers)
-    return [_rejection_rates(stats, critical, fam) for stats, fam in zip(curve, families)]
-
-
-def power_estimates_to_csv(estimates: Sequence[PowerEstimate]) -> str:
-    """Long-form CSV (one row per statistic per estimate) for power results."""
-    lines = [POWER_CSV_HEADER]
-    for est in estimates:
-        param = "" if est.parameter is None else repr(est.parameter)
-        for name in STAT_NAMES:
-            lines.append(
-                f"{est.family},{param},{name},{est.power[name]!r},{est.stderr[name]!r}"
-            )
-    return "\n".join(lines) + "\n"
+    replications = as_int(replications, "replications", 1)
+    values = np.array([critical.values[name] for name in STAT_NAMES])
+    hits = [np.count_nonzero(stats > values, axis=0)
+            for stats in _replicate(scheme, n, models, seed, replications, workers)]
+    freq = np.array(hits) / replications
+    return freq, np.sqrt(freq * (1.0 - freq) / replications)

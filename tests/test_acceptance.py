@@ -20,6 +20,7 @@ from picgof.distributions import test_general as general_statistics
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
+from bench.checks import TABLE_TOLERANCE  # noqa: E402
 from bench.exact import null_laws, quantile  # noqa: E402
 
 # Published 5% critical values for the four bundled designs at n = 40.
@@ -33,7 +34,6 @@ REFERENCE_CRITICAL = {
     "t2p2": {"c_plus": 0.3000, "c_minus": 0.3132, "c": 0.3500,
              "k": 0.3750, "t1": 0.0440, "t2": 0.1655},
 }
-TABLE_TOLERANCE = 0.02
 
 LEVEL = 0.05
 N = 40
@@ -44,11 +44,12 @@ SIZE_TOLERANCE = 3.0 * math.sqrt(LEVEL * (1.0 - LEVEL) / B)
 
 @pytest.fixture(scope="module")
 def size_run(bundled_schemes, reference_tables):
-    """Rejection frequencies under the uniform null itself."""
-    return pg.power(
-        bundled_schemes["t1p1"], N, reference_tables["t1p1"], pg.UNIFORM,
+    """Rejection frequencies under the uniform null itself, in STAT_NAMES order."""
+    freq, _ = pg.power(
+        bundled_schemes["t1p1"], N, reference_tables["t1p1"], [pg.UNIFORM],
         replications=B, seed=2, workers=2,
     )
+    return freq[0]
 
 
 # --- criterion 1: reference critical values ------------------------------
@@ -65,10 +66,8 @@ def test_reproduces_reference_critical_values(name, reference_tables):
 # --- criterion 2: size control --------------------------------------------
 
 def test_size_control_at_nominal_level(size_run):
-    for stat in pg.STAT_NAMES:
-        assert abs(size_run.power[stat] - LEVEL) <= SIZE_TOLERANCE, (
-            f"{stat}: rejection rate {size_run.power[stat]:.4f}"
-        )
+    for stat, rate in zip(pg.STAT_NAMES, size_run):
+        assert abs(rate - LEVEL) <= SIZE_TOLERANCE, f"{stat}: rejection rate {rate:.4f}"
 
 
 # --- criterion 3: boundary family members are the null --------------------
@@ -80,15 +79,14 @@ def test_null_family_members_match_nominal_level(
     kind, parameter, bundled_schemes, reference_tables, size_run
 ):
     member = pg.AlternativeFamily(kind, parameter)
-    run = pg.power(
-        bundled_schemes["t1p1"], N, reference_tables["t1p1"], member,
+    freq, _ = pg.power(
+        bundled_schemes["t1p1"], N, reference_tables["t1p1"], [member],
         replications=B, seed=2, workers=2,
     )
     # the boundary member's cdf coincides with the identity bit for bit, so
     # the whole simulation does too
-    assert run.power == size_run.power
-    for stat in pg.STAT_NAMES:
-        assert abs(run.power[stat] - LEVEL) <= SIZE_TOLERANCE
+    assert np.array_equal(freq[0], size_run)
+    assert np.all(np.abs(freq[0] - LEVEL) <= SIZE_TOLERANCE)
 
 
 # --- criterion 4: agreement with exact enumeration -------------------------
@@ -221,13 +219,13 @@ def test_bit_identical_across_worker_counts(tmp_path):
 def test_power_increases_along_ordered_alternatives(
     kind, grid, bundled_schemes, reference_tables
 ):
-    curve = pg.power_curve(
-        bundled_schemes["t1p1"], N, reference_tables["t1p1"], kind, grid,
-        replications=B, seed=4, workers=2,
+    freq, stderr = pg.power(
+        bundled_schemes["t1p1"], N, reference_tables["t1p1"],
+        [pg.AlternativeFamily(kind, p) for p in grid], replications=B, seed=4, workers=2,
     )
     for stat in ("t1", "t2"):
-        values = [point.power[stat] for point in curve]
-        errors = [point.stderr[stat] for point in curve]
+        j = pg.STAT_NAMES.index(stat)
+        values, errors = freq[:, j].tolist(), stderr[:, j].tolist()
         for i in range(len(values) - 1):
             slack = 2.0 * math.sqrt(errors[i] ** 2 + errors[i + 1] ** 2)
             assert values[i + 1] - values[i] > -slack, (

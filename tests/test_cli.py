@@ -314,6 +314,22 @@ def test_vocabulary(command):
     assert parsed == {"command": command, **dests}
 
 
+def test_public_names():
+    # the library's vocabulary, pinned like the CLI's: adding or removing a
+    # public name is a deliberate change to this list
+    assert sorted(pg.__all__) == [
+        "AlternativeFamily", "BUNDLED_SCHEME_NAMES", "CensoredSample", "CensoringError",
+        "CensoringScheme", "CriticalValueTable", "DEFAULT_PARAMETER_GRIDS", "FAMILY_KINDS",
+        "FamilySyntaxError", "STAT_NAMES", "StatisticSet", "TabulatedCdf", "UNIFORM",
+        "compute_statistics", "critical_values", "derive_stream", "deviations", "load_scheme",
+        "p_value", "parse_family", "power", "reject", "replicated_statistics", "sample_from_csv",
+        "sample_from_json", "sample_to_csv", "sample_to_json", "scheme_from_json", "scheme_id",
+        "scheme_to_json", "simulate_sample", "survival_values", "test_general", "transform_scheme",
+    ]
+    for name in pg.__all__:
+        assert getattr(pg, name) is not None
+
+
 BAD_INPUTS = {
     "tm1.json": json.dumps({"times": [0.0, 0.5, 1.0], "percentages": [0.5, 1.0]}),
     "times_text.json": json.dumps({"times": "0,0.5", "percentages": [1.0]}),

@@ -75,6 +75,9 @@ class TestFamilies:
             ("compressed", 0.7),
             ("uniform", 1.0),
             ("nonsense", 2.0),
+            ("lehmann", "x"),
+            ("lehmann", True),
+            ("compressed", "0.2"),
         ],
     )
     def test_rejects_out_of_domain(self, kind, param):

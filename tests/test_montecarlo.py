@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import picgof as pg
+from picgof.cli import main as cli_main
+from picgof.sampling import interval_failure_probs, withdraw_count
 
 SCHEME = pg.CensoringScheme((0.0, 0.2, 0.4, 0.6), (0.3, 0.3, 1.0))
 
@@ -19,7 +21,7 @@ def null_stats():
 def reference_rows(scheme, n, model, seed, replications):
     """Statistics of each replication, drawn one row at a time: row r of chunk
     c takes one scalar binomial per interval i from derive_stream(seed, c, i)."""
-    probs = pg.interval_failure_probs(scheme, model)
+    probs = interval_failure_probs(scheme, model)
     last = len(probs) - 1
     rows = []
     for chunk in range(math.ceil(replications / pg.montecarlo.CHUNK_SIZE)):
@@ -28,7 +30,7 @@ def reference_rows(scheme, n, model, seed, replications):
             failures, removals, at_risk = [], [], n
             for i, (q, rng) in enumerate(zip(probs, streams)):
                 x = int(rng.binomial(at_risk, q)) if at_risk > 0 else 0
-                r = at_risk - x if i == last else pg.withdraw_count(scheme.percentages[i], at_risk - x)
+                r = at_risk - x if i == last else withdraw_count(scheme.percentages[i], at_risk - x)
                 failures.append(x)
                 removals.append(r)
                 at_risk -= x + r
@@ -262,10 +264,10 @@ def table():
 
 class TestPower:
     def test_null_power_is_near_level(self, table):
-        est = pg.power(SCHEME, 15, table, pg.UNIFORM, replications=4000, seed=7)
+        freq, _ = pg.power(SCHEME, 15, table, [pg.UNIFORM], replications=4000, seed=7)
         tol = 4 * math.sqrt(0.05 * 0.95 / 4000) + 0.005
-        for name in pg.STAT_NAMES:
-            assert abs(est.power[name] - 0.05) < tol
+        assert freq.shape == (1, 6)
+        assert np.all(np.abs(freq - 0.05) < tol)
 
     def test_extreme_critical_values(self, table):
         low = pg.CriticalValueTable(
@@ -276,61 +278,76 @@ class TestPower:
             scheme_id=table.scheme_id, n=15, level=0.05, replications=10, seed=0,
             values={name: 10.0 for name in pg.STAT_NAMES},
         )
-        sure = pg.power(SCHEME, 15, low, pg.UNIFORM, replications=100, seed=0)
-        never = pg.power(SCHEME, 15, high, pg.UNIFORM, replications=100, seed=0)
-        assert all(v == 1.0 for v in sure.power.values())
-        assert all(v == 0.0 for v in never.power.values())
-        assert all(v == 0.0 for v in sure.stderr.values())
+        sure, sure_err = pg.power(SCHEME, 15, low, [pg.UNIFORM], replications=100, seed=0)
+        never, _ = pg.power(SCHEME, 15, high, [pg.UNIFORM], replications=100, seed=0)
+        assert np.all(sure == 1.0)
+        assert np.all(never == 0.0)
+        assert np.all(sure_err == 0.0)
 
     def test_stderr_formula(self, table):
-        est = pg.power(
-            SCHEME, 15, table, pg.AlternativeFamily("lehmann", 2.0),
-            replications=500, seed=3,
-        )
-        for name in pg.STAT_NAMES:
-            f = est.power[name]
-            assert est.stderr[name] == pytest.approx(math.sqrt(f * (1 - f) / 500))
+        models = [pg.AlternativeFamily("lehmann", 2.0), pg.AlternativeFamily("compressed", 0.2)]
+        freq, stderr = pg.power(SCHEME, 15, table, models, replications=500, seed=3)
+        assert freq.shape == stderr.shape == (2, 6)
+        for f, e in zip(freq.flat, stderr.flat):
+            assert e == math.sqrt(f * (1 - f) / 500)
 
     def test_mismatched_table_raises(self, table):
         other = pg.CensoringScheme((0.0, 0.25, 0.6), (0.3, 1.0))
         with pytest.raises(pg.CensoringError, match="computed for scheme"):
-            pg.power(other, 15, table, pg.UNIFORM, replications=10, seed=0)
+            pg.power(other, 15, table, [pg.UNIFORM], replications=10, seed=0)
         with pytest.raises(pg.CensoringError, match="computed for n = 15, got n = 16"):
-            pg.power(SCHEME, 16, table, pg.UNIFORM, replications=10, seed=0)
+            pg.power(SCHEME, 16, table, [pg.UNIFORM], replications=10, seed=0)
 
-    def test_provenance_recorded(self, table):
+    def test_rejection_counts_strict_exceedance(self, table):
         fam = pg.AlternativeFamily("compressed", 0.2)
-        est = pg.power(SCHEME, 15, table, fam, replications=300, seed=11)
-        assert (est.family, est.parameter) == ("compressed", 0.2)
+        freq, _ = pg.power(SCHEME, 15, table, [fam], replications=300, seed=11)
+        stats = pg.replicated_statistics(SCHEME, 15, fam, seed=11, replications=300)
+        for j, name in enumerate(pg.STAT_NAMES):
+            assert freq[0, j] == np.count_nonzero(stats[:, j] > table.values[name]) / 300
 
 
 class TestPowerCurve:
-    def test_one_estimate_per_grid_point(self, table):
-        grid = (1.0, 2.0, 3.0)
-        curve = pg.power_curve(SCHEME, 15, table, "lehmann", grid, replications=300, seed=2)
-        assert [e.parameter for e in curve] == list(grid)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rows_equal_one_model_calls(self, table, workers):
+        models = [pg.AlternativeFamily("lehmann", 1.0), pg.AlternativeFamily("centered", 2.0),
+                  pg.AlternativeFamily("compressed", 0.3)]
+        # 2049 replications make two chunks per model
+        freq, stderr = pg.power(SCHEME, 15, table, models, 2049, seed=2, workers=workers)
+        assert freq.shape == stderr.shape == (3, 6)
+        for row, model in enumerate(models):
+            one_freq, one_stderr = pg.power(SCHEME, 15, table, [model], 2049, seed=2)
+            assert np.array_equal(freq[row], one_freq[0])
+            assert np.array_equal(stderr[row], one_stderr[0])
 
     def test_common_random_numbers(self, table):
-        curve = pg.power_curve(
-            SCHEME, 15, table, "lehmann", (2.0, 2.0), replications=300, seed=2
-        )
-        assert curve[0].power == curve[1].power
+        twice = [pg.AlternativeFamily("lehmann", 2.0)] * 2
+        freq, stderr = pg.power(SCHEME, 15, table, twice, replications=300, seed=2)
+        assert np.array_equal(freq[0], freq[1])
+        assert np.array_equal(stderr[0], stderr[1])
 
-    def test_rejects_empty_grid(self, table):
-        with pytest.raises(ValueError):
-            pg.power_curve(SCHEME, 15, table, "lehmann", (), replications=10, seed=0)
+    def test_rejects_empty_model_list(self, table):
+        with pytest.raises(pg.CensoringError, match="at least one model"):
+            pg.power(SCHEME, 15, table, [], replications=10, seed=0)
 
-    def test_domain_error_from_grid(self, table):
-        with pytest.raises(pg.CensoringError, match="lehmann parameter must be > 0"):
-            pg.power_curve(SCHEME, 15, table, "lehmann", (1.0, -2.0), replications=10, seed=0)
+    @pytest.fixture()
+    def design_files(self, table, tmp_path):
+        """The module's scheme and table as files, and the CLI's power-curve argv on them."""
+        (tmp_path / "scheme.json").write_text(pg.scheme_to_json(SCHEME))
+        (tmp_path / "cv.csv").write_text(table.to_csv())
+        return ["power-curve", "--scheme", str(tmp_path / "scheme.json"), "--n", "15",
+                "--family", "lehmann", "--critical", str(tmp_path / "cv.csv")]
 
-    def test_csv_emission(self, table):
-        curve = pg.power_curve(SCHEME, 15, table, "lehmann", (1.5,), replications=200, seed=2)
-        text = pg.power_estimates_to_csv(curve)
-        lines = text.splitlines()
-        assert lines[0] == "family,param,stat,power,stderr"
-        assert len(lines) == 1 + 6
-        first = lines[1].split(",")
-        assert first[0] == "lehmann"
-        assert float(first[1]) == 1.5
-        assert first[2] == "c_plus"
+    def test_domain_error_from_grid(self, design_files, capsys):
+        assert cli_main([*design_files, "--grid", "1.0,-2.0", "--B", "10"]) == 2
+        assert "lehmann parameter must be > 0" in capsys.readouterr().err
+
+    def test_csv_emission(self, table, design_files, capsys):
+        assert cli_main([*design_files, "--grid", "1.5", "--B", "200", "--seed", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("# scheme=")
+        assert lines[1] == "family,param,stat,power,stderr"
+        assert len(lines) == 2 + 6
+        freq, stderr = pg.power(SCHEME, 15, table, [pg.AlternativeFamily("lehmann", 1.5)],
+                                replications=200, seed=2)
+        for line, name, f, e in zip(lines[2:], pg.STAT_NAMES, freq[0], stderr[0]):
+            assert line == f"lehmann,1.5,{name},{float(f)!r},{float(e)!r}"

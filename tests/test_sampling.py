@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 import picgof as pg
+from picgof.sampling import interval_failure_probs, withdraw_count
 from strategies import families, schemes
 
 T1P1 = pg.load_scheme("t1p1")
@@ -16,32 +17,32 @@ T1P1 = pg.load_scheme("t1p1")
 
 class TestIntervalFailureProbs:
     def test_uniform_on_equally_spaced_times(self):
-        probs = pg.interval_failure_probs(T1P1, pg.UNIFORM)
+        probs = interval_failure_probs(T1P1, pg.UNIFORM)
         expected = (0.1, 1 / 9, 1 / 8, 1 / 7, 1 / 6)
         assert probs == pytest.approx(expected, rel=1e-12)
 
     def test_zero_cdf_gives_zero_probs(self):
-        probs = pg.interval_failure_probs(T1P1, lambda t: 0.0)
+        probs = interval_failure_probs(T1P1, lambda t: 0.0)
         assert probs == (0.0,) * 5
 
     def test_saturated_cdf_stops_cleanly(self):
         # F hits 1 at the first inspection; later intervals see no one alive
-        probs = pg.interval_failure_probs(T1P1, lambda t: 1.0 if t > 0 else 0.0)
+        probs = interval_failure_probs(T1P1, lambda t: 1.0 if t > 0 else 0.0)
         assert probs == (1.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_rejects_decreasing_cdf(self):
         with pytest.raises(pg.CensoringError, match="cdf decreases"):
-            pg.interval_failure_probs(T1P1, lambda t: 1.0 - t)
+            interval_failure_probs(T1P1, lambda t: 1.0 - t)
 
     def test_clamps_rounding_spill(self):
         over = np.nextafter(1.0, 2.0)
         scheme = pg.CensoringScheme((0.0, 0.5), (1.0,))
-        probs = pg.interval_failure_probs(scheme, lambda t: over if t > 0 else 0.0)
+        probs = interval_failure_probs(scheme, lambda t: over if t > 0 else 0.0)
         assert probs == (1.0,)
 
     @given(schemes(), families())
     def test_probs_lie_in_unit_interval(self, scheme, family):
-        probs = pg.interval_failure_probs(scheme, family)
+        probs = interval_failure_probs(scheme, family)
         assert all(0.0 <= q <= 1.0 for q in probs)
 
 
@@ -62,25 +63,25 @@ class TestWithdrawCount:
         ],
     )
     def test_floor_rule(self, pct, survivors, expected):
-        assert pg.withdraw_count(pct, survivors) == expected
+        assert withdraw_count(pct, survivors) == expected
 
     def test_guard_does_not_round_real_fractions_up(self):
-        assert pg.withdraw_count(0.333, 3) == 0
-        assert pg.withdraw_count(1 / 3, 2) == 0
-        assert pg.withdraw_count(0.999, 1) == 0
+        assert withdraw_count(0.333, 3) == 0
+        assert withdraw_count(1 / 3, 2) == 0
+        assert withdraw_count(0.999, 1) == 0
 
     def test_never_withdraws_more_than_survive(self):
         # 1.0 * (2**63 - 1) rounds up to the float 2**63
-        assert pg.withdraw_count(1.0, 2**63 - 1) == 2**63 - 1
+        assert withdraw_count(1.0, 2**63 - 1) == 2**63 - 1
 
     @given(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=8), st.floats(0.0, 1.0))
     @example([2**53 + 1], 1.0)  # 2**53 + 1 rounds down to the float 2**53
     @example([2**63 - 1], 1.0)  # the float product 2**63 does not fit an int64
     def test_array_form_equals_the_int_form(self, survivors, pct):
-        counts = pg.withdraw_count(pct, np.array(survivors, dtype=np.int64))
+        counts = withdraw_count(pct, np.array(survivors, dtype=np.int64))
         assert counts.dtype == np.int64
         for s, count in zip(survivors, counts.tolist()):
-            assert count == pg.withdraw_count(pct, s) == min(math.floor(pct * s + 1e-9), s)
+            assert count == withdraw_count(pct, s) == min(math.floor(pct * s + 1e-9), s)
 
 
 class TestSimulateSample:
@@ -112,10 +113,10 @@ class TestSimulateSample:
         # risk set is empty
         rng = pg.derive_stream(seed, 0)
         failures, removals, at_risk = [], [], n
-        for i, q in enumerate(pg.interval_failure_probs(scheme, family)):
+        for i, q in enumerate(interval_failure_probs(scheme, family)):
             x = int(rng.binomial(at_risk, q)) if at_risk > 0 else 0
             last = i == len(scheme.percentages) - 1
-            r = at_risk - x if last else pg.withdraw_count(scheme.percentages[i], at_risk - x)
+            r = at_risk - x if last else withdraw_count(scheme.percentages[i], at_risk - x)
             failures.append(x)
             removals.append(r)
             at_risk -= x + r

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 
 import picgof as pg
+from picgof.sampling import withdraw_count
 from strategies import samples, schemes
 
 T1 = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
@@ -158,7 +159,7 @@ class TestSerialization:
             if i == parsed.scheme.m - 1:
                 assert r == survivors
             else:
-                assert pg.withdraw_count(parsed.scheme.percentages[i], survivors) == r
+                assert withdraw_count(parsed.scheme.percentages[i], survivors) == r
             at_risk = survivors - r
 
     def test_csv_skips_comment_lines(self):
