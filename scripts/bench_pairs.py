@@ -16,16 +16,23 @@ runs each tree's own ``bench/run.py`` once with the same arguments,
 alternating which side goes first; all timing comes from those runs.  Per
 metric the JSON printed on stdout gives each side's median and quartiles,
 the per-pair change/parent ratios, their median with a seeded 95%
-percentile-bootstrap interval (``median_ratio_interval``), and the number of
+percentile-bootstrap interval (``median_ratio_interval``), the number of
 pairs the change wins (strictly better in the metric's direction from
-BENCHMARK.json).  A change is shown only where that interval excludes 1.  ``--out`` also appends the
-comparison to a BENCH file.
+BENCHMARK.json), and ``gain``.  ``gain`` is true only where the change wins at
+least nine tenths of the pairs, ties counting for neither side, and its
+median beats the parent's by more than the parent's quartile distance; the
+bootstrap interval only describes the spread of the ratios, since with a few
+pairs it can exclude 1 on host drift alone.  The comparison also records the
+BLAS/OpenMP thread variables the runs inherited (``thread_env``, null when
+unset), because exporting ``OPENBLAS_NUM_THREADS`` changes what both sides
+cost.  ``--out`` also appends the comparison to a BENCH file.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import statistics
 import subprocess
@@ -37,6 +44,8 @@ ROOT = Path(__file__).resolve().parent.parent
 BOOTSTRAP_RESAMPLES = 5000
 BOOTSTRAP_SEED = 0
 INTERVAL_LEVEL = 0.95
+#: Thread-count variables of the BLAS and OpenMP runtimes numpy may load.
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def parse_args(argv=None):
@@ -96,15 +105,19 @@ def compare(runs: list[dict], directions: dict[str, str]) -> dict:
         ratios = [c / p if p else None for c, p in zip(change, parent)]
         wins = sum(c < p if better == "lower" else c > p for c, p in zip(change, parent))
         known = [x for x in ratios if x is not None]
+        sides = {"change": quartiles(change), "parent": quartiles(parent)}
+        lead = sides["parent"]["median"] - sides["change"]["median"]
+        spread = sides["parent"]["q3"] - sides["parent"]["q1"]
         out[name] = {
             "better": better,
-            "change": quartiles(change),
-            "parent": quartiles(parent),
+            **sides,
             "ratios": ratios,
             "median_ratio": statistics.median(known) if known else None,
             "median_ratio_interval": median_interval(known),
             "wins": wins,
             "pairs": len(runs),
+            # nine tenths of the pairs, in integers so that float rounding cannot decide
+            "gain": 10 * wins >= 9 * len(runs) and (lead if better == "lower" else -lead) > spread,
         }
     return out
 
@@ -154,6 +167,7 @@ def main(argv=None) -> int:
         "parent_src_sha256": runs[0]["parent"]["report"]["machine"]["src_sha256"],
         "correct": all(r[s]["result"]["correct"] for r in runs for s in ("change", "parent")),
         "first": [r["first"] for r in runs],
+        "thread_env": {var: os.environ.get(var) for var in THREAD_VARS},
         "metrics": compare(runs, directions),
     }
     machine = runs[0]["change"]["report"]["machine"]

@@ -10,6 +10,14 @@ Arbitrary continuous nulls reduce to the uniform case through
 :func:`transform_scheme` / :func:`test_general`.
 """
 
+import os as _os
+import sys as _sys
+
+# picgof makes no BLAS call, yet numpy's OpenBLAS thread pool costs each process about 75 ms
+# of CPU at import: cap it at one thread unless the user set it or numpy is already loaded.
+if "numpy" not in _sys.modules and not _os.environ.get("OPENBLAS_NUM_THREADS"):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .distributions import (
     DEFAULT_PARAMETER_GRIDS,
     FAMILY_KINDS,

@@ -265,8 +265,8 @@ def power(
     noisy than independent runs would be, and every model's chunks share one
     worker pool.  The table must have been computed for the same scheme and n.
     """
-    if not models:
-        raise CensoringError("power needs at least one model")
+    if callable(models) or not models:
+        raise CensoringError("power needs a list of at least one model; pass [model] for one")
     critical.check_design(scheme, n)
     replications = as_int(replications, "replications", 1)
     values = np.array([critical.values[name] for name in STAT_NAMES])

@@ -298,6 +298,10 @@ class TestPower:
         with pytest.raises(pg.CensoringError, match="computed for n = 15, got n = 16"):
             pg.power(SCHEME, 16, table, [pg.UNIFORM], replications=10, seed=0)
 
+    def test_single_model_not_in_a_list_raises(self, table):
+        with pytest.raises(pg.CensoringError, match=r"pass \[model\]"):
+            pg.power(SCHEME, 15, table, pg.UNIFORM, replications=10, seed=0)
+
     def test_rejection_counts_strict_exceedance(self, table):
         fam = pg.AlternativeFamily("compressed", 0.2)
         freq, _ = pg.power(SCHEME, 15, table, [fam], replications=300, seed=11)
