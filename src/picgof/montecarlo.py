@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -55,16 +55,29 @@ def derive_stream(seed: int, index: int, interval: int = 0) -> np.random.Generat
     return np.random.Generator(np.random.Philox(counter=[0, 0, 0, interval], key=key))
 
 
-def _statistic_chunk(n, percentages, null_survival, seed, replications, probs, start) -> np.ndarray:
-    """Statistics of one model's replications [start, min(start + CHUNK_SIZE, replications))."""
+def __getattr__(name):  # PEP 562: concurrent.futures is imported only when a pool starts
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _exceedances(compare, bounds, stats) -> np.ndarray:
+    """Per column, the number of rows of ``stats`` where ``compare(row, bounds)`` holds."""
+    return np.count_nonzero(compare(stats, bounds), axis=0)
+
+
+def _statistic_chunk(n, percentages, null_survival, seed, replications, reduce, probs, start):
+    """Statistics of one model's replications [start, start + CHUNK_SIZE), reduced by ``reduce``."""
     streams = [derive_stream(seed, start // CHUNK_SIZE, i) for i in range(len(probs))]
     counts = draw_counts(n, probs, percentages, streams, min(CHUNK_SIZE, replications - start))
-    return fold_deviations(product_limit(n, *counts) - null_survival)
+    stats = fold_deviations(product_limit(n, *counts) - null_survival)
+    return stats if reduce is None else reduce(stats)
 
 
-def _replicate(scheme, n, models: Sequence[Cdf], seed, replications, workers) -> Iterator[np.ndarray]:
-    """:func:`replicated_statistics` of each model in turn, with every (model x chunk)
-    task mapped over one worker pool; a model's rows are yielded once its chunks are in."""
+def _replicate(scheme, n, models: Sequence[Cdf], seed, replications, workers, reduce=None) -> Iterator:
+    """:func:`replicated_statistics` of each model in turn, all (model x chunk) tasks batched over
+    one worker pool; yields a model's rows once its chunks are in, or its summed ``reduce`` counts."""
     n = as_int(n, "sample size", 1, MAX_N)
     replications = as_int(replications, "replications", 1)
     if scheme.times[-1] >= 1.0:
@@ -75,16 +88,19 @@ def _replicate(scheme, n, models: Sequence[Cdf], seed, replications, workers) ->
         stats = np.empty((replications, len(STAT_NAMES)))
     except (MemoryError, ValueError):
         raise CensoringError(f"{replications} replications do not fit in memory") from None
-    chunk = partial(_statistic_chunk, n, scheme.percentages, null_survival, seed, replications)
+    chunk = partial(_statistic_chunk, n, scheme.percentages, null_survival, seed, replications, reduce)
     starts = list(range(0, replications, CHUNK_SIZE))
     probs = [q for q in map(partial(interval_failure_probs, scheme), models) for _ in starts]
     cpus = os.cpu_count() or 1
     workers = min(as_int(workers, "workers") or cpus, cpus, len(probs))
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        parts = (pool.map if pool else map)(chunk, probs, starts * len(models))
+    with sys.modules[__name__].ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        batched = partial(pool.map, chunksize=math.ceil(len(probs) / (4 * workers))) if pool else map
+        parts = batched(chunk, probs, starts * len(models))
         for k in range(len(models)):
-            if k:
-                stats = np.empty_like(stats)
+            if reduce is not None:
+                yield sum(next(parts) for _ in starts)
+                continue
+            stats = np.empty_like(stats) if k else stats
             for start in starts:
                 stats[start : start + CHUNK_SIZE] = next(parts)
             yield stats
@@ -241,8 +257,8 @@ def p_value(
     Uses the add-one estimator (1 + #{simulated >= observed}) / (B + 1),
     which never returns 0 and is itself a valid p-value.
     """
-    stats = replicated_statistics(scheme, n, UNIFORM, seed, replications, workers)
-    hits = np.count_nonzero(stats >= np.array(observed.as_tuple()), axis=0)
+    at_least = partial(_exceedances, np.greater_equal, np.array(observed.as_tuple()))
+    [hits] = _replicate(scheme, n, [UNIFORM], seed, replications, workers, at_least)
     return {name: (1 + int(h)) / (replications + 1) for name, h in zip(STAT_NAMES, hits)}
 
 
@@ -269,8 +285,7 @@ def power(
         raise CensoringError("power needs a list of at least one model; pass [model] for one")
     critical.check_design(scheme, n)
     replications = as_int(replications, "replications", 1)
-    values = np.array([critical.values[name] for name in STAT_NAMES])
-    hits = [np.count_nonzero(stats > values, axis=0)
-            for stats in _replicate(scheme, n, models, seed, replications, workers)]
+    above = partial(_exceedances, np.greater, np.array([critical.values[k] for k in STAT_NAMES]))
+    hits = list(_replicate(scheme, n, models, seed, replications, workers, above))
     freq = np.array(hits) / replications
     return freq, np.sqrt(freq * (1.0 - freq) / replications)

@@ -351,6 +351,8 @@ BAD_INPUTS = {
     "times_a.json": json.dumps({"times": ["a", 0.5], "percentages": [0.5, 1.0]}),
     # a table that matches t1p1 at n = 15 except that its n is not an integer
     "cv_n_frac.json": (GOLDEN_DIR / "cv.json").read_text("utf-8").replace('"n": 15,', '"n": 15.7,'),
+    # the golden t1p1 table at n = 15, valid, for commands that fail elsewhere
+    "cv_ok.csv": (GOLDEN_DIR / "cv.csv").read_text("utf-8"),
     # one byte that is not UTF-8 in each kind of input file
     "latin1_scheme.json": b'{"times": [0.0, 0.5], "percentages": [1.0]} \xff',
     "latin1_sample.csv": b"t_i,x_i,r_i\n0.25,1,3\n0.5,0,2 \xe9\n",
@@ -415,6 +417,10 @@ class TestErrorBoundary:
             (*POWER, "--critical", "cv_inf.csv"),
             (*POWER, "--critical", "cv_level_one.json"),
             ("critical-values", "--scheme", "t1p1", "--n", "10", "--B", "99999999999999999999999"),
+            (*POWER, "--critical", "cv_ok.csv", "--B", "99999999999999999999999"),
+            ("power-curve", "--scheme", "t1p1", "--n", "15", "--family", "lehmann", "--grid", "2",
+             "--critical", "cv_ok.csv", "--B", "99999999999999999999999"),
+            ("test", "--data", "ok.csv", "--B", "99999999999999999999999"),
         ],
         ids=" ".join,
     )

@@ -88,7 +88,7 @@ class TestReplicatedStatistics:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables):
+            def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
         monkeypatch.setattr(pg.montecarlo, "ProcessPoolExecutor", InlinePool)
@@ -248,6 +248,14 @@ class TestPValue:
         assert p["t2"] == 1.0
         assert all(0.0 < v <= 1.0 for v in p.values())
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_counts_ties_as_at_least_as_extreme(self, null_stats, workers):
+        # the observed set is a simulated row, so every column has a tie to count
+        observed = pg.StatisticSet(*null_stats[17])
+        p = pg.p_value(observed, SCHEME, 15, replications=3000, seed=5, workers=workers)
+        for j, name in enumerate(pg.STAT_NAMES):
+            assert p[name] == (1 + np.count_nonzero(null_stats[:, j] >= null_stats[17, j])) / 3001
+
     def test_monotone_in_observed_value(self):
         small = pg.StatisticSet(0.05, 0.05, 0.05, 0.05, 0.001, 0.01)
         large = pg.StatisticSet(0.2, 0.2, 0.2, 0.3, 0.02, 0.1)
@@ -322,6 +330,30 @@ class TestPowerCurve:
             one_freq, one_stderr = pg.power(SCHEME, 15, table, [model], 2049, seed=2)
             assert np.array_equal(freq[row], one_freq[0])
             assert np.array_equal(stderr[row], one_stderr[0])
+
+    def test_batched_pool_keeps_the_bits(self, table, monkeypatch):
+        # enough (model x chunk) tasks that two workers take them several at a time
+        sizes = []
+
+        class RecordingPool(pg.montecarlo.ProcessPoolExecutor):
+            def map(self, fn, *iterables, chunksize=1):
+                sizes.append(chunksize)
+                return super().map(fn, *iterables, chunksize=chunksize)
+
+        monkeypatch.setattr(pg.montecarlo, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(pg.montecarlo.os, "cpu_count", lambda: 2)
+        models = [pg.AlternativeFamily("lehmann", 2.0), pg.AlternativeFamily("centered", 2.0),
+                  pg.AlternativeFamily("compressed", 0.3)]
+        replications = 3 * pg.montecarlo.CHUNK_SIZE - 5
+        pooled = pg.power(SCHEME, 15, table, models, replications, seed=2, workers=2)
+        serial = pg.power(SCHEME, 15, table, models, replications, seed=2, workers=1)
+        for a, b in zip(pooled, serial):
+            assert a.tobytes() == b.tobytes()
+        replications = 10 * pg.montecarlo.CHUNK_SIZE - 5
+        rows = pg.replicated_statistics(SCHEME, 15, pg.UNIFORM, 5, replications, workers=2)
+        serial = pg.replicated_statistics(SCHEME, 15, pg.UNIFORM, 5, replications, workers=1)
+        assert rows.tobytes() == serial.tobytes()
+        assert sizes == [2, 2]
 
     def test_common_random_numbers(self, table):
         twice = [pg.AlternativeFamily("lehmann", 2.0)] * 2

@@ -1,8 +1,9 @@
-"""The OpenBLAS thread cap that ``import picgof`` applies before numpy loads.
+"""What ``import picgof`` does and does not load at start-up.
 
-Each case runs a fresh interpreter, since the cap can only act before numpy is
-first imported, with ``OPENBLAS_NUM_THREADS`` removed from its environment
-unless the case sets it.
+Each case runs a fresh interpreter, with ``OPENBLAS_NUM_THREADS`` removed from
+its environment unless the case sets it: the thread cap can only act before
+numpy is first imported, and what an import loads shows only in a process
+where nothing else loaded it first.
 """
 
 import json
@@ -46,3 +47,14 @@ def test_preset_value_is_kept_unless_empty(preset, seen):
 
 def test_numpy_imported_first_leaves_environment_untouched():
     assert run_python("import numpy, picgof; " + REPORT)["var"] is None
+
+
+def test_pool_module_loads_only_when_asked_for():
+    out = run_python(
+        "import json, sys, picgof.cli; loaded = 'concurrent.futures' in sys.modules; "
+        "import concurrent.futures, picgof.montecarlo as mc; "
+        "print(json.dumps({'loaded': loaded, "
+        "'real': mc.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor, "
+        "'other': hasattr(mc, 'ThreadPoolExecutor')}))"
+    )
+    assert out == {"loaded": False, "real": True, "other": False}
