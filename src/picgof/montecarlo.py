@@ -16,14 +16,14 @@ import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .distributions import UNIFORM
 from .errors import CensoringError
 from .gof import STAT_NAMES, StatisticSet, fold_deviations
-from .reliability import product_limit
+from .reliability import null_survival, product_limit
 from .sampling import Cdf, draw_counts, interval_failure_probs
 from .schemes import (
     MAX_N,
@@ -49,9 +49,7 @@ def derive_stream(seed: int, index: int, interval: int = 0) -> np.random.Generat
     The interval selects the high word of the Philox counter, so the streams
     of one key never overlap; interval 0 is the stream of the key alone.
     """
-    if not 0 <= seed < 2**64:
-        raise CensoringError(f"seed must be an integer in [0, 2**64), got {seed}")
-    key = np.array([seed, index], dtype=np.uint64)
+    key = np.array([as_int(seed, "seed", 0, 2**64), index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(counter=[0, 0, 0, interval], key=key))
 
 
@@ -67,28 +65,25 @@ def _exceedances(compare, bounds, stats) -> np.ndarray:
     return np.count_nonzero(compare(stats, bounds), axis=0)
 
 
-def _statistic_chunk(n, percentages, null_survival, seed, replications, reduce, probs, start):
+def _statistic_chunk(n, percentages, survival, seed, replications, reduce, probs, start):
     """Statistics of one model's replications [start, start + CHUNK_SIZE), reduced by ``reduce``."""
     streams = [derive_stream(seed, start // CHUNK_SIZE, i) for i in range(len(probs))]
     counts = draw_counts(n, probs, percentages, streams, min(CHUNK_SIZE, replications - start))
-    stats = fold_deviations(product_limit(n, *counts) - null_survival)
+    stats = fold_deviations(product_limit(n, *counts) - survival)
     return stats if reduce is None else reduce(stats)
 
 
-def _replicate(scheme, n, models: Sequence[Cdf], seed, replications, workers, reduce=None) -> Iterator:
-    """:func:`replicated_statistics` of each model in turn, all (model x chunk) tasks batched over
-    one worker pool; yields a model's rows once its chunks are in, or its summed ``reduce`` counts."""
+def _replicate(scheme, n, models: Sequence[Cdf], seed, replications, workers, reduce=None) -> list:
+    """Per model, its summed ``reduce`` counts, all (model x chunk) tasks batched over one
+    worker pool; without ``reduce``, ``[rows]``, the :func:`replicated_statistics` of one model."""
     n = as_int(n, "sample size", 1, MAX_N)
     replications = as_int(replications, "replications", 1)
-    if scheme.times[-1] >= 1.0:
-        raise CensoringError("uniformity statistics need the final inspection time below 1, "
-                             f"got {scheme.times[-1]!r}")
-    null_survival = np.array([1.0 - UNIFORM(t) for t in scheme.inspection_times])
+    survival = null_survival(scheme, UNIFORM)
     try:
         stats = np.empty((replications, len(STAT_NAMES)))
     except (MemoryError, ValueError):
         raise CensoringError(f"{replications} replications do not fit in memory") from None
-    chunk = partial(_statistic_chunk, n, scheme.percentages, null_survival, seed, replications, reduce)
+    chunk = partial(_statistic_chunk, n, scheme.percentages, survival, seed, replications, reduce)
     starts = list(range(0, replications, CHUNK_SIZE))
     probs = [q for q in map(partial(interval_failure_probs, scheme), models) for _ in starts]
     cpus = os.cpu_count() or 1
@@ -96,14 +91,11 @@ def _replicate(scheme, n, models: Sequence[Cdf], seed, replications, workers, re
     with sys.modules[__name__].ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         batched = partial(pool.map, chunksize=math.ceil(len(probs) / (4 * workers))) if pool else map
         parts = batched(chunk, probs, starts * len(models))
-        for k in range(len(models)):
-            if reduce is not None:
-                yield sum(next(parts) for _ in starts)
-                continue
-            stats = np.empty_like(stats) if k else stats
-            for start in starts:
-                stats[start : start + CHUNK_SIZE] = next(parts)
-            yield stats
+        if reduce is not None:
+            return [sum(next(parts) for _ in starts) for _ in models]
+        for start, part in zip(starts, parts):
+            stats[start : start + CHUNK_SIZE] = part
+    return [stats]
 
 
 def replicated_statistics(
@@ -234,14 +226,14 @@ def critical_values(
     the max-type statistics; tables meant for production use should keep
     B at 1000 or more.
     """
+    level = as_real(level, "level")
     if not 0.0 < level < 1.0:
         raise CensoringError(f"level must lie strictly between 0 and 1, got {level!r}")
     stats = replicated_statistics(scheme, n, UNIFORM, seed, replications, workers)
     order = math.ceil(replications * (1.0 - level))
     values = {name: float(np.partition(stats[:, j], order - 1)[order - 1])
               for j, name in enumerate(STAT_NAMES)}
-    return CriticalValueTable(scheme_id(scheme), int(n), float(level), replications, seed,
-                              values, scheme)
+    return CriticalValueTable(scheme_id(scheme), n, level, replications, seed, values, scheme)
 
 
 def p_value(
@@ -281,11 +273,12 @@ def power(
     noisy than independent runs would be, and every model's chunks share one
     worker pool.  The table must have been computed for the same scheme and n.
     """
-    if callable(models) or not models:
+    models = [] if callable(models) else list(models)
+    if not models:
         raise CensoringError("power needs a list of at least one model; pass [model] for one")
     critical.check_design(scheme, n)
     replications = as_int(replications, "replications", 1)
     above = partial(_exceedances, np.greater, np.array([critical.values[k] for k in STAT_NAMES]))
-    hits = list(_replicate(scheme, n, models, seed, replications, workers, above))
+    hits = _replicate(scheme, n, models, seed, replications, workers, above)
     freq = np.array(hits) / replications
     return freq, np.sqrt(freq * (1.0 - freq) / replications)

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CensoringError
-from .schemes import CensoredSample
+from .schemes import CensoredSample, CensoringScheme
 
 
 def product_limit(n: int, failures, removals) -> np.ndarray:
@@ -49,16 +49,19 @@ def survival_values(n: int, failures: Sequence[int], removals: Sequence[int]) ->
     return product_limit(n, [failures], [removals])[0].tolist()
 
 
-def deviations(sample: CensoredSample, null_cdf: Callable[[float], float]) -> tuple[float, ...]:
-    """Estimated minus hypothesized survival at each inspection time.
+def null_survival(scheme: CensoringScheme, null_cdf: Callable[[float], float]) -> np.ndarray:
+    """Hypothesized survival 1 - F0(t_i) at each inspection time, refused unless positive at
+    the final one, t_m (for uniformity: t_m < 1), where zero would pin the last deviation."""
+    survival = np.array([1.0 - float(null_cdf(t)) for t in scheme.inspection_times])
+    if survival[-1] <= 0.0:
+        raise CensoringError("null survival 1 - F0(t_m) must be positive at the final inspection "
+                             f"time t_m = {scheme.times[-1]!r}, got {float(survival[-1])!r}")
+    return survival
 
-    ``null_cdf`` must leave positive survival at the final inspection time
-    (for the uniformity test: t_m < 1); otherwise the last deviation is
-    pinned by design rather than informative, and
-    :class:`CensoringError` is raised.
-    """
-    times = sample.scheme.inspection_times
-    if 1.0 - float(null_cdf(times[-1])) <= 0.0:
-        raise CensoringError("the hypothesized cdf must stay below 1 at the final inspection time")
+
+def deviations(sample: CensoredSample, null_cdf: Callable[[float], float]) -> tuple[float, ...]:
+    """Estimated minus hypothesized survival at each inspection time; ``null_cdf``
+    must leave positive survival at the final one (see :func:`null_survival`)."""
+    null = null_survival(sample.scheme, null_cdf).tolist()
     est = survival_values(sample.n, sample.failures, sample.removals)
-    return tuple(e - (1.0 - float(null_cdf(t))) for t, e in zip(times, est))
+    return tuple(e - s for e, s in zip(est, null))

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -61,6 +63,10 @@ class TestDeriveStream:
         assert np.array_equal(base, pg.derive_stream(3, 7, 0).random(4))
         draws = [pg.derive_stream(3, 7, i).random(4) for i in range(3)]
         assert len({d.tobytes() for d in draws}) == 3
+
+
+#: Seeds that are not integers in [0, 2**64): a fraction, a bool, nothing, text.
+BAD_SEEDS = [1.5, True, None, "1"]
 
 
 class TestReplicatedStatistics:
@@ -152,6 +158,11 @@ class TestReplicatedStatistics:
         with pytest.raises(pg.CensoringError, match="do not fit in memory"):
             pg.replicated_statistics(SCHEME, 10, pg.UNIFORM, seed=0, replications=10**23)
 
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_rejects_a_seed_that_is_not_an_integer(self, seed):
+        with pytest.raises(pg.CensoringError, match="seed must be an integer"):
+            pg.replicated_statistics(SCHEME, 10, pg.UNIFORM, seed, replications=10)
+
 
 class TestCriticalValues:
     def test_matches_order_statistic_definition(self, null_stats):
@@ -170,6 +181,19 @@ class TestCriticalValues:
     def test_rejects_bad_level(self, level):
         with pytest.raises(ValueError):
             pg.critical_values(SCHEME, 10, level=level, replications=10)
+
+    def test_rejects_level_given_as_text(self):
+        with pytest.raises(pg.CensoringError, match="level must be a real number"):
+            pg.critical_values(SCHEME, 10, level="0.05", replications=10)
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_rejects_a_bad_seed_before_drawing(self, seed, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("counts were drawn")
+
+        monkeypatch.setattr(pg.montecarlo, "draw_counts", no_draws)
+        with pytest.raises(pg.CensoringError, match="seed must be an integer"):
+            pg.critical_values(SCHEME, 10, replications=10, seed=seed)
 
     def test_provenance_recorded(self):
         table = pg.critical_values(SCHEME, 15, level=0.1, replications=200, seed=9)
@@ -256,6 +280,12 @@ class TestPValue:
         for j, name in enumerate(pg.STAT_NAMES):
             assert p[name] == (1 + np.count_nonzero(null_stats[:, j] >= null_stats[17, j])) / 3001
 
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_rejects_a_seed_that_is_not_an_integer(self, seed):
+        zero = pg.StatisticSet(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(pg.CensoringError, match="seed must be an integer"):
+            pg.p_value(zero, SCHEME, 15, replications=10, seed=seed)
+
     def test_monotone_in_observed_value(self):
         small = pg.StatisticSet(0.05, 0.05, 0.05, 0.05, 0.001, 0.01)
         large = pg.StatisticSet(0.2, 0.2, 0.2, 0.3, 0.02, 0.1)
@@ -310,6 +340,18 @@ class TestPower:
         with pytest.raises(pg.CensoringError, match=r"pass \[model\]"):
             pg.power(SCHEME, 15, table, pg.UNIFORM, replications=10, seed=0)
 
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_rejects_a_seed_that_is_not_an_integer(self, table, seed):
+        with pytest.raises(pg.CensoringError, match="seed must be an integer"):
+            pg.power(SCHEME, 15, table, [pg.UNIFORM], replications=10, seed=seed)
+
+    def test_integral_non_int_replications_give_the_int_result(self, table):
+        fam = pg.AlternativeFamily("lehmann", 2.0)
+        expected = pg.power(SCHEME, 15, table, [fam], replications=100, seed=3)
+        for b in (Fraction(100), Decimal(100), 100.0):
+            for a, e in zip(pg.power(SCHEME, 15, table, [fam], replications=b, seed=3), expected):
+                assert a.dtype == e.dtype and a.tobytes() == e.tobytes()
+
     def test_rejection_counts_strict_exceedance(self, table):
         fam = pg.AlternativeFamily("compressed", 0.2)
         freq, _ = pg.power(SCHEME, 15, table, [fam], replications=300, seed=11)
@@ -360,6 +402,15 @@ class TestPowerCurve:
         freq, stderr = pg.power(SCHEME, 15, table, twice, replications=300, seed=2)
         assert np.array_equal(freq[0], freq[1])
         assert np.array_equal(stderr[0], stderr[1])
+
+    def test_models_may_be_any_iterable(self, table):
+        models = [pg.AlternativeFamily("lehmann", 2.0), pg.AlternativeFamily("centered", 2.0)]
+        listed = pg.power(SCHEME, 15, table, models, replications=300, seed=2)
+        generated = pg.power(SCHEME, 15, table, (m for m in models), replications=300, seed=2)
+        for a, b in zip(generated, listed):
+            assert a.tobytes() == b.tobytes()
+        with pytest.raises(pg.CensoringError, match="at least one model"):
+            pg.power(SCHEME, 15, table, iter([]), replications=10, seed=0)
 
     def test_rejects_empty_model_list(self, table):
         with pytest.raises(pg.CensoringError, match="at least one model"):

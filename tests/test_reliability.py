@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 
 import picgof as pg
 from picgof.reliability import product_limit
@@ -122,6 +122,25 @@ class TestDeviations:
         sample = make_sample((0.0, 0.25, 0.5), (0.4, 1.0), 10, (2, 1), (4, 3))
         with pytest.raises(ValueError):
             pg.deviations(sample, lambda t: min(1.0, 4.0 * t))
+
+    def test_one_rule_and_message_for_deviations_and_the_engine(self):
+        # a design with t_m = 1 leaves no uniform survival at the final inspection
+        scheme = pg.CensoringScheme((0.0, 0.5, 1.0), (0.3, 1.0))
+        sample = pg.CensoredSample(scheme, 10, (2, 1), (2, 5))
+        with pytest.raises(pg.CensoringError) as direct:
+            pg.deviations(sample, pg.UNIFORM)
+        with pytest.raises(pg.CensoringError) as engine:
+            pg.replicated_statistics(scheme, 10, pg.UNIFORM, seed=0, replications=10)
+        assert str(direct.value) == str(engine.value)
+        assert "null survival 1 - F0(t_m) must be positive" in str(direct.value)
+
+    @given(samples(), families())
+    def test_equals_survival_values_minus_null_survival_bit_for_bit(self, sample, family):
+        times = sample.scheme.inspection_times
+        assume(family(times[-1]) < 1.0)
+        est = pg.survival_values(sample.n, sample.failures, sample.removals)
+        expected = [e - (1.0 - family(t)) for t, e in zip(times, est)]
+        assert float_bits(pg.deviations(sample, family)) == float_bits(expected)
 
     def test_general_null_uses_its_cdf(self):
         sample = make_sample((0.0, 0.25, 0.5), (0.4, 1.0), 10, (0, 0), (4, 6))
