@@ -194,12 +194,10 @@ def _run_test(ns: argparse.Namespace) -> None:
     pvals = p_value(stats, working_scheme, sample.n, ns.replications, ns.seed, ns.workers)
     head = {"scheme_id": scheme_id(working_scheme), "n": sample.n, "null": ns.null,
             "B": ns.replications, "seed": ns.seed}
-    rows = [
-        "kind," + ",".join(STAT_NAMES),
-        "statistic," + ",".join(repr(v) for v in stats.as_tuple()),
-        "p_value," + ",".join(repr(pvals[name]) for name in STAT_NAMES),
-    ]
-    _write(ns, head, "\n".join(rows) + "\n", {"statistics": stats.as_dict(), "p_values": pvals})
+    rows = ["kind," + ",".join(STAT_NAMES), "statistic," + ",".join(map(repr, stats)),
+            "p_value," + ",".join(repr(pvals[name]) for name in STAT_NAMES)]
+    _write(ns, head, "\n".join(rows) + "\n",
+           {"statistics": dict(zip(STAT_NAMES, stats)), "p_values": pvals})
 
 
 def _run_simulate(ns: argparse.Namespace) -> None:

@@ -54,7 +54,7 @@ class TabulatedCdf:
             raise CensoringError("x grid must be strictly increasing")
         if any(b < a for a, b in zip(values, values[1:])):
             raise CensoringError("tabulated cdf values must be nondecreasing")
-        if not all(0.0 <= v <= 1.0 for v in values):  # also rejects nan
+        if not all(0.0 <= v <= 1.0 for v in values):
             raise CensoringError("tabulated cdf values must lie in [0, 1]")
 
     def __call__(self, x: float) -> float:

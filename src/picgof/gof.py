@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import CensoringError
-from .schemes import CensoringScheme
+from .schemes import CensoringScheme, as_real
 
 if TYPE_CHECKING:
     from .montecarlo import CriticalValueTable
@@ -17,9 +16,8 @@ if TYPE_CHECKING:
 STAT_NAMES = ("c_plus", "c_minus", "c", "k", "t1", "t2")
 
 
-@dataclass(frozen=True)
-class StatisticSet:
-    """The six goodness-of-fit statistics of one sample.
+class StatisticSet(NamedTuple):
+    """The six goodness-of-fit statistics of one sample, a row in STAT_NAMES order.
 
     ``c_plus``/``c_minus`` are the largest signed deviations up and down
     (either can be negative), ``c`` is their maximum, ``k`` their sum,
@@ -34,11 +32,8 @@ class StatisticSet:
     t1: float
     t2: float
 
-    def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in STAT_NAMES}
-
-    def as_tuple(self) -> tuple[float, float, float, float, float, float]:
-        return (self.c_plus, self.c_minus, self.c, self.k, self.t1, self.t2)
+    def as_tuple(self) -> tuple[float, ...]:
+        return tuple(self)
 
 
 def fold_deviations(d) -> np.ndarray:
@@ -63,20 +58,26 @@ def compute_statistics(d: Sequence[float]) -> StatisticSet:
     return StatisticSet(*fold_deviations([d])[0].tolist())
 
 
+def _as_row(observed) -> list[float]:
+    """``observed`` as six floats in STAT_NAMES order, each read by :func:`as_real`."""
+    if not np.iterable(observed) or len(row := list(observed)) != len(STAT_NAMES):
+        raise CensoringError(f"a row of statistics needs {len(STAT_NAMES)} values, got {observed!r}")
+    return [as_real(v, f"statistic {name}") for name, v in zip(STAT_NAMES, row)]
+
+
 def reject(
-    observed: StatisticSet,
+    observed: Sequence[float],
     critical: "CriticalValueTable",
     *,
     scheme: CensoringScheme | None = None,
     n: int | None = None,
 ) -> dict[str, bool]:
-    """Per-statistic upper-tail rejection decisions.
+    """Per-statistic upper-tail rejection decisions for a row of six statistics.
 
-    Rejection requires strict exceedance: an observed value exactly equal to
-    its critical value does not reject.  Pass ``scheme`` and/or ``n`` to have
-    them checked by :meth:`CriticalValueTable.check_design`; a mismatch raises
-    :class:`CensoringError` instead of silently comparing across designs.
+    ``observed`` is any six reals in STAT_NAMES order: a :class:`StatisticSet`,
+    tuple, list or array.  Only strict exceedance rejects, not a tie.  Pass
+    ``scheme`` and/or ``n`` to have them checked by :meth:`CriticalValueTable.check_design`;
+    a mismatch raises :class:`CensoringError` instead of comparing across designs.
     """
     critical.check_design(scheme, n)
-    obs = observed.as_dict()
-    return {name: obs[name] > critical.values[name] for name in STAT_NAMES}
+    return {name: v > critical.values[name] for name, v in zip(STAT_NAMES, _as_row(observed))}

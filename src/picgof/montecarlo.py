@@ -22,7 +22,7 @@ import numpy as np
 
 from .distributions import UNIFORM
 from .errors import CensoringError
-from .gof import STAT_NAMES, StatisticSet, fold_deviations
+from .gof import STAT_NAMES, _as_row, fold_deviations
 from .reliability import null_survival, product_limit
 from .sampling import Cdf, draw_counts, interval_failure_probs
 from .schemes import (
@@ -73,9 +73,10 @@ def _statistic_chunk(n, percentages, survival, seed, replications, reduce, probs
     return stats if reduce is None else reduce(stats)
 
 
-def _replicate(scheme, n, models: Sequence[Cdf], seed, replications, workers, reduce=None) -> list:
+def _replicate(scheme, n, models: Sequence[Cdf], seed, replications, workers, reduce=None):
     """Per model, its summed ``reduce`` counts, all (model x chunk) tasks batched over one
-    worker pool; without ``reduce``, ``[rows]``, the :func:`replicated_statistics` of one model."""
+    worker pool; without ``reduce``, ``[rows]``, the :func:`replicated_statistics` of one model.
+    Returned with the B it validated, an ``int``."""
     n = as_int(n, "sample size", 1, MAX_N)
     replications = as_int(replications, "replications", 1)
     survival = null_survival(scheme, UNIFORM)
@@ -92,10 +93,10 @@ def _replicate(scheme, n, models: Sequence[Cdf], seed, replications, workers, re
         batched = partial(pool.map, chunksize=math.ceil(len(probs) / (4 * workers))) if pool else map
         parts = batched(chunk, probs, starts * len(models))
         if reduce is not None:
-            return [sum(next(parts) for _ in starts) for _ in models]
+            return [sum(next(parts) for _ in starts) for _ in models], replications
         for start, part in zip(starts, parts):
             stats[start : start + CHUNK_SIZE] = part
-    return [stats]
+    return [stats], replications
 
 
 def replicated_statistics(
@@ -114,7 +115,7 @@ def replicated_statistics(
     ``workers`` (0 means one worker per CPU; never more than the CPU count
     or the number of chunks are started).
     """
-    [stats] = _replicate(scheme, n, [model], seed, replications, workers)
+    [stats], _ = _replicate(scheme, n, [model], seed, replications, workers)
     return stats
 
 
@@ -125,8 +126,8 @@ class CriticalValueTable:
     ``values`` maps statistic names (see STAT_NAMES) to critical values;
     the remaining fields record what the table was computed for, so that
     tests against mismatched designs can be refused.  Construction validates:
-    the level lies in (0, 1), every critical value is finite and ``scheme``,
-    when given, is the design ``scheme_id`` names.
+    the level lies in (0, 1), every critical value is a finite real (see
+    :func:`as_real`) and ``scheme``, when given, is the design ``scheme_id`` names.
     """
 
     scheme_id: str
@@ -143,15 +144,12 @@ class CriticalValueTable:
         object.__setattr__(self, "replications", as_int(self.replications, "B", 1))
         object.__setattr__(self, "seed", as_int(self.seed, "seed", 0, 2**64))
         try:
-            values = {name: as_real(self.values[name], name) for name in STAT_NAMES}
+            values = {k: as_real(self.values[k], f"critical value {k}") for k in STAT_NAMES}
         except (KeyError, TypeError) as exc:
             raise CensoringError(f"malformed critical value table: {exc!r}") from None
         object.__setattr__(self, "values", values)
         if not 0.0 < self.level < 1.0:
             raise CensoringError(f"table level must lie in (0, 1), got {self.level!r}")
-        for name, value in values.items():
-            if not math.isfinite(value):
-                raise CensoringError(f"critical value {name} must be finite, got {value!r}")
         if self.scheme is not None and scheme_id(self.scheme) != self.scheme_id:
             raise CensoringError(
                 f"table scheme_id {self.scheme_id} does not match its scheme, {scheme_id(self.scheme)}"
@@ -230,27 +228,28 @@ def critical_values(
     if not 0.0 < level < 1.0:
         raise CensoringError(f"level must lie strictly between 0 and 1, got {level!r}")
     stats = replicated_statistics(scheme, n, UNIFORM, seed, replications, workers)
-    order = math.ceil(replications * (1.0 - level))
+    order = math.ceil(len(stats) * (1.0 - level))  # len(stats) is B as validated, an int
     values = {name: float(np.partition(stats[:, j], order - 1)[order - 1])
               for j, name in enumerate(STAT_NAMES)}
-    return CriticalValueTable(scheme_id(scheme), n, level, replications, seed, values, scheme)
+    return CriticalValueTable(scheme_id(scheme), n, level, len(stats), seed, values, scheme)
 
 
 def p_value(
-    observed: StatisticSet,
+    observed: Sequence[float],
     scheme: CensoringScheme,
     n: int,
     replications: int = 20000,
     seed: int = 0,
     workers: int = 1,
 ) -> dict[str, float]:
-    """Monte Carlo upper-tail p-values for each statistic.
+    """Monte Carlo upper-tail p-values, as floats, for a row of six statistics.
 
+    ``observed`` is any six reals in STAT_NAMES order, as for :func:`reject`.
     Uses the add-one estimator (1 + #{simulated >= observed}) / (B + 1),
     which never returns 0 and is itself a valid p-value.
     """
-    at_least = partial(_exceedances, np.greater_equal, np.array(observed.as_tuple()))
-    [hits] = _replicate(scheme, n, [UNIFORM], seed, replications, workers, at_least)
+    at_least = partial(_exceedances, np.greater_equal, np.array(_as_row(observed)))
+    [hits], replications = _replicate(scheme, n, [UNIFORM], seed, replications, workers, at_least)
     return {name: (1 + int(h)) / (replications + 1) for name, h in zip(STAT_NAMES, hits)}
 
 
@@ -277,8 +276,7 @@ def power(
     if not models:
         raise CensoringError("power needs a list of at least one model; pass [model] for one")
     critical.check_design(scheme, n)
-    replications = as_int(replications, "replications", 1)
     above = partial(_exceedances, np.greater, np.array([critical.values[k] for k in STAT_NAMES]))
-    hits = _replicate(scheme, n, models, seed, replications, workers, above)
+    hits, replications = _replicate(scheme, n, models, seed, replications, workers, above)
     freq = np.array(hits) / replications
     return freq, np.sqrt(freq * (1.0 - freq) / replications)

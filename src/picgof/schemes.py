@@ -288,10 +288,10 @@ def as_int(value, what: str, low: int = 0, high: float = math.inf) -> int:
 
 
 def as_real(value, what: str) -> float:
-    """``value`` as a ``float``: a real number, not a ``bool`` or text."""
+    """``value`` as a finite ``float``: a real number, not ±inf, nan, a ``bool`` or text."""
     try:
-        if not isinstance(value, (bool, str, bytes)):
-            return float(value)
+        if not isinstance(value, (bool, str, bytes)) and math.isfinite(x := float(value)):
+            return x
     except (TypeError, ValueError, OverflowError):
         pass
-    raise CensoringError(f"{what} must be a real number, got {value!r}")
+    raise CensoringError(f"{what} must be a finite real number, got {value!r}")

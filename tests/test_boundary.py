@@ -1,0 +1,111 @@
+"""The library boundary: every numeric argument of the engine and the sampler
+takes a value of any kind, and each call either returns its documented types
+or raises ``CensoringError``.
+
+Every call runs at n <= 10 and B <= 10 with one model, so it is one chunk and
+starts no worker pool whatever ``workers`` is.
+"""
+
+import math
+from decimal import Decimal
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import picgof as pg
+
+SCHEME = pg.CensoringScheme((0.0, 0.2, 0.4, 0.6), (0.3, 0.3, 1.0))
+TABLE = pg.critical_values(SCHEME, 10, replications=10, seed=1)
+RUN = {"n": 10, "replications": 10, "seed": 1, "workers": 1}
+ROW = dict(zip(pg.STAT_NAMES, (0.1, 0.1, 0.1, 0.1, 0.005, 0.05)))
+
+#: Each kind of value a caller may pass, made from a number.
+KINDS = {
+    "int": int,
+    "float": float,
+    "np.int64": lambda x: np.int64(int(x)),
+    "np.float64": np.float64,
+    "Fraction": Fraction,
+    "Decimal": lambda x: Decimal(repr(x)),
+    "bool": bool,
+    "None": lambda x: None,
+    "str": str,
+    "inf": lambda x: math.inf,
+    "-inf": lambda x: -math.inf,
+    "nan": lambda x: math.nan,
+}
+
+#: Numbers small enough to keep every call one short chunk, integral or not.
+NUMBERS = st.one_of(st.integers(-2, 10), st.sampled_from([0.05, 0.5, 2.5]))
+
+
+def check_table(table):
+    assert type(table) is pg.CriticalValueTable
+    assert [type(v) for v in (table.n, table.level, table.replications, table.seed)] == [
+        int, float, int, int]
+    assert list(table.values) == list(pg.STAT_NAMES)
+    assert all(type(v) is float for v in table.values.values())
+
+
+def check_p_values(p):
+    assert list(p) == list(pg.STAT_NAMES)
+    assert all(type(v) is float and 0.0 < v <= 1.0 for v in p.values())
+
+
+def check_power(result):
+    freq, stderr = result
+    for a in (freq, stderr):
+        assert type(a) is np.ndarray and a.dtype == np.float64 and a.shape == (1, 6)
+
+
+def check_rows(stats):
+    assert type(stats) is np.ndarray and stats.dtype == np.float64
+    assert stats.shape[0] >= 1 and stats.shape[1] == 6
+
+
+def check_sample(sample):
+    assert type(sample) is pg.CensoredSample and type(sample.n) is int
+    assert all(type(c) is int for c in sample.failures + sample.removals)
+
+
+def p_value(**kw):
+    row = tuple(kw.pop(name) for name in pg.STAT_NAMES)
+    return pg.p_value(row, SCHEME, **kw)
+
+
+#: name -> (call, its numeric arguments with valid values, check of its result)
+CALLS = {
+    "critical_values": (lambda **kw: pg.critical_values(SCHEME, **kw),
+                        {**RUN, "level": 0.05}, check_table),
+    "p_value": (p_value, {**RUN, **ROW}, check_p_values),
+    "power": (lambda **kw: pg.power(SCHEME, critical=TABLE, models=[pg.UNIFORM], **kw),
+              RUN, check_power),
+    "replicated_statistics": (lambda **kw: pg.replicated_statistics(SCHEME, model=pg.UNIFORM, **kw),
+                              RUN, check_rows),
+    "simulate_sample": (lambda n: pg.simulate_sample(SCHEME, n, pg.UNIFORM, pg.derive_stream(1, 0)),
+                        {"n": 10}, check_sample),
+}
+ARGUMENTS = [(name, arg) for name, (_, valid, _) in CALLS.items() for arg in valid]
+
+
+def every_kind(test):
+    """``test`` with an explicit example of each kind, so none is left to chance."""
+    for kind in KINDS:
+        test = example(kind=kind, number=1)(test)
+    return test
+
+
+@pytest.mark.parametrize("name,arg", ARGUMENTS, ids=[".".join(a) for a in ARGUMENTS])
+@settings(max_examples=30, deadline=None)
+@every_kind
+@given(kind=st.sampled_from(sorted(KINDS)), number=NUMBERS)
+def test_returns_documented_types_or_raises_censoring_error(name, arg, kind, number):
+    call, valid, check = CALLS[name]
+    try:
+        result = call(**{**valid, arg: KINDS[kind](number)})
+    except pg.CensoringError:
+        return
+    check(result)

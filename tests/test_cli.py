@@ -349,6 +349,8 @@ BAD_INPUTS = {
         {"scheme_id": "x", "n": [15], "level": 0.05, "B": 400, "seed": 1, "critical_values": {}}
     ),
     "times_a.json": json.dumps({"times": ["a", 0.5], "percentages": [0.5, 1.0]}),
+    # json.loads reads Infinity as a float; every real number must be finite
+    "inf_time.json": '{"times": [0.0, 0.5, Infinity], "percentages": [0.5, 1.0]}',
     # a table that matches t1p1 at n = 15 except that its n is not an integer
     "cv_n_frac.json": (GOLDEN_DIR / "cv.json").read_text("utf-8").replace('"n": 15,', '"n": 15.7,'),
     # the golden t1p1 table at n = 15, valid, for commands that fail elsewhere
@@ -421,6 +423,11 @@ class TestErrorBoundary:
             ("power-curve", "--scheme", "t1p1", "--n", "15", "--family", "lehmann", "--grid", "2",
              "--critical", "cv_ok.csv", "--B", "99999999999999999999999"),
             ("test", "--data", "ok.csv", "--B", "99999999999999999999999"),
+            ("power", "--scheme", "t1p1", "--n", "15", "--alt", "lehmann:inf", "--B", "20",
+             "--critical", "cv_ok.csv"),
+            ("power-curve", "--scheme", "t1p1", "--n", "15", "--family", "lehmann", "--grid", "1,inf",
+             "--critical", "cv_ok.csv", "--B", "20"),
+            ("simulate", "--scheme", "inf_time.json"),
         ],
         ids=" ".join,
     )

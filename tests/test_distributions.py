@@ -78,6 +78,9 @@ class TestFamilies:
             ("lehmann", "x"),
             ("lehmann", True),
             ("compressed", "0.2"),
+            ("lehmann", float("inf")),
+            ("centered", float("inf")),
+            ("compressed", float("-inf")),
         ],
     )
     def test_rejects_out_of_domain(self, kind, param):
@@ -151,6 +154,10 @@ class TestTabulatedCdf:
             pg.TabulatedCdf((0.0, 1.0), (0.0, 1.5))
         with pytest.raises(pg.CensoringError, match="at least two points"):
             pg.TabulatedCdf((0.0,), (0.0,))
+        with pytest.raises(pg.CensoringError, match="x must be a finite real number, got inf"):
+            pg.TabulatedCdf((0.0, 1.0, float("inf")), (0.0, 0.5, 1.0))
+        with pytest.raises(pg.CensoringError, match="cdf value must be a finite real number"):
+            pg.TabulatedCdf((0.0, 1.0), (0.0, float("nan")))
 
     def test_from_csv(self):
         table = pg.TabulatedCdf.from_csv("# comment\nx,cdf\n0.0,0.0\n2.0,1.0\n")

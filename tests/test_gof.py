@@ -1,5 +1,8 @@
 """The six statistics: worked values, algebraic relations, rejection."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -107,6 +110,19 @@ class TestComputeStatistics:
         assert p.as_tuple() == pytest.approx(s.as_tuple(), rel=1e-12, abs=1e-15)
 
 
+#: Rows that are not six finite reals, with the start of the message each raises.
+BAD_ROWS = [
+    ((0.1,) * 5, "a row of statistics needs 6 values"),
+    (np.full(7, 0.1), "a row of statistics needs 6 values"),
+    (0.1, "a row of statistics needs 6 values"),
+    (None, "a row of statistics needs 6 values"),
+    ((0.1,) * 5 + ("0.1",), "statistic t2 must be a finite real number"),
+    ((math.nan,) + (0.1,) * 5, "statistic c_plus must be a finite real number"),
+    ((0.1, 0.1, -math.inf, 0.1, 0.1, 0.1), "statistic c must be a finite real number"),
+    ((0.1, 0.1, 0.1, None, 0.1, 0.1), "statistic k must be a finite real number"),
+]
+
+
 def make_table(scheme, n, values):
     return CriticalValueTable(
         scheme_id=pg.scheme_id(scheme),
@@ -124,27 +140,44 @@ class TestReject:
         self.observed = pg.compute_statistics((0.05, 0.10))
 
     def test_equality_does_not_reject(self):
-        table = make_table(self.scheme, 10, self.observed.as_dict())
+        table = make_table(self.scheme, 10, dict(zip(pg.STAT_NAMES, self.observed)))
         decisions = pg.reject(self.observed, table, scheme=self.scheme, n=10)
         assert decisions == {name: False for name in pg.STAT_NAMES}
 
     def test_strict_exceedance_rejects(self):
-        lowered = {k: v - 1e-9 for k, v in self.observed.as_dict().items()}
+        lowered = {k: v - 1e-9 for k, v in dict(zip(pg.STAT_NAMES, self.observed)).items()}
         table = make_table(self.scheme, 10, lowered)
         decisions = pg.reject(self.observed, table)
         assert decisions == {name: True for name in pg.STAT_NAMES}
 
     def test_n_mismatch_raises(self):
-        table = make_table(self.scheme, 10, self.observed.as_dict())
+        table = make_table(self.scheme, 10, dict(zip(pg.STAT_NAMES, self.observed)))
         with pytest.raises(pg.CensoringError, match="computed for n = 10, got n = 12"):
             pg.reject(self.observed, table, n=12)
 
     def test_scheme_mismatch_raises(self):
-        table = make_table(self.scheme, 10, self.observed.as_dict())
+        table = make_table(self.scheme, 10, dict(zip(pg.STAT_NAMES, self.observed)))
         other = pg.CensoringScheme((0.0, 0.2, 0.5), (0.4, 1.0))
         with pytest.raises(pg.CensoringError, match="computed for scheme"):
             pg.reject(self.observed, table, scheme=other)
 
     def test_checks_optional(self):
-        table = make_table(self.scheme, 10, self.observed.as_dict())
+        table = make_table(self.scheme, 10, dict(zip(pg.STAT_NAMES, self.observed)))
         assert pg.reject(self.observed, table) == {name: False for name in pg.STAT_NAMES}
+
+    def test_any_row_of_six_reals_gives_the_same_decisions(self):
+        lowered = {k: v - 1e-9 for k, v in zip(pg.STAT_NAMES, self.observed)}
+        lowered["c"] = self.observed.c + 1e-9
+        table = make_table(self.scheme, 10, lowered)
+        expected = pg.reject(self.observed, table)
+        assert expected["c_plus"] and not expected["c"]
+        for row in (tuple(self.observed), list(self.observed), np.array(self.observed)):
+            decisions = pg.reject(row, table)
+            assert decisions == expected
+            assert all(type(v) is bool for v in decisions.values())
+
+    @pytest.mark.parametrize("row,message", BAD_ROWS)
+    def test_rejects_a_row_that_is_not_six_finite_reals(self, row, message):
+        table = make_table(self.scheme, 10, dict(zip(pg.STAT_NAMES, self.observed)))
+        with pytest.raises(pg.CensoringError, match=message):
+            pg.reject(row, table)

@@ -11,6 +11,7 @@ import pytest
 import picgof as pg
 from picgof.cli import main as cli_main
 from picgof.sampling import interval_failure_probs, withdraw_count
+from test_gof import BAD_ROWS
 
 SCHEME = pg.CensoringScheme((0.0, 0.2, 0.4, 0.6), (0.3, 0.3, 1.0))
 
@@ -183,7 +184,7 @@ class TestCriticalValues:
             pg.critical_values(SCHEME, 10, level=level, replications=10)
 
     def test_rejects_level_given_as_text(self):
-        with pytest.raises(pg.CensoringError, match="level must be a real number"):
+        with pytest.raises(pg.CensoringError, match="level must be a finite real number"):
             pg.critical_values(SCHEME, 10, level="0.05", replications=10)
 
     @pytest.mark.parametrize("seed", BAD_SEEDS)
@@ -194,6 +195,12 @@ class TestCriticalValues:
         monkeypatch.setattr(pg.montecarlo, "draw_counts", no_draws)
         with pytest.raises(pg.CensoringError, match="seed must be an integer"):
             pg.critical_values(SCHEME, 10, replications=10, seed=seed)
+
+    def test_integral_non_int_replications_give_the_int_table(self):
+        expected = pg.critical_values(SCHEME, 10, replications=100, seed=2)
+        for b in (Decimal(100), Fraction(100), np.float64(100)):
+            table = pg.critical_values(SCHEME, 10, replications=b, seed=2)
+            assert type(table.replications) is int and table == expected
 
     def test_provenance_recorded(self):
         table = pg.critical_values(SCHEME, 15, level=0.1, replications=200, seed=9)
@@ -239,7 +246,7 @@ class TestTableSerialization:
     @pytest.mark.parametrize("field,value,message", [
         ("level", 1.5, "table level must lie in"),
         ("values", {**dict.fromkeys(pg.STAT_NAMES, 0.2), "c": math.nan},
-         "critical value c must be finite"),
+         "critical value c must be a finite real number"),
         ("values", dict.fromkeys(pg.STAT_NAMES[:-1], 0.2), "malformed critical value table"),
         ("n", 0, "n must be an integer"),
         ("replications", 2.5, "B must be an integer"),
@@ -285,6 +292,24 @@ class TestPValue:
         zero = pg.StatisticSet(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         with pytest.raises(pg.CensoringError, match="seed must be an integer"):
             pg.p_value(zero, SCHEME, 15, replications=10, seed=seed)
+
+    def test_integral_non_int_replications_give_the_int_result(self):
+        observed = (0.1, 0.1, 0.1, 0.1, 0.005, 0.05)
+        expected = pg.p_value(observed, SCHEME, 15, replications=100, seed=1)
+        for b in (Fraction(100), Decimal(100)):
+            p = pg.p_value(observed, SCHEME, 15, replications=b, seed=1)
+            assert p == expected and all(type(v) is float for v in p.values())
+
+    def test_any_row_of_six_reals_gives_the_same_result(self, null_stats):
+        observed = pg.StatisticSet(*null_stats[17])
+        expected = pg.p_value(observed, SCHEME, 15, replications=400, seed=1)
+        for row in (tuple(observed), list(observed), null_stats[17]):
+            assert pg.p_value(row, SCHEME, 15, replications=400, seed=1) == expected
+
+    @pytest.mark.parametrize("row,message", BAD_ROWS)
+    def test_rejects_a_row_that_is_not_six_finite_reals(self, row, message):
+        with pytest.raises(pg.CensoringError, match=message):
+            pg.p_value(row, SCHEME, 15, replications=10, seed=1)
 
     def test_monotone_in_observed_value(self):
         small = pg.StatisticSet(0.05, 0.05, 0.05, 0.05, 0.001, 0.01)

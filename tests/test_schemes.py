@@ -57,8 +57,13 @@ class TestSchemeValidation:
             pg.CensoringScheme((0.0,), ())
 
     def test_rejects_nan_time(self):
-        with pytest.raises(pg.CensoringError, match="strictly increasing"):
+        with pytest.raises(pg.CensoringError, match="inspection time must be a finite real number"):
             pg.CensoringScheme((0.0, float("nan"), 0.5), (0.5, 1.0))
+
+    @pytest.mark.parametrize("times", [(0.0, 0.5, float("inf")), (float("-inf"), 0.0, 0.5)])
+    def test_rejects_an_infinite_time(self, times):
+        with pytest.raises(pg.CensoringError, match="inspection time must be a finite real number"):
+            pg.CensoringScheme(times, (0.5, 1.0))
 
     @given(schemes())
     def test_validation_idempotent(self, scheme):
