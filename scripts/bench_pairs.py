@@ -25,7 +25,10 @@ bootstrap interval only describes the spread of the ratios, since with a few
 pairs it can exclude 1 on host drift alone.  The comparison also records the
 BLAS/OpenMP thread variables the runs inherited (``thread_env``, null when
 unset), because exporting ``OPENBLAS_NUM_THREADS`` changes what both sides
-cost.  ``--out`` also appends the comparison to a BENCH file.
+cost, and the bytecode variables (``bytecode_env``), because with
+``PYTHONDONTWRITEBYTECODE`` set and no ``__pycache__`` in the fresh worktrees
+every timed process compiles picgof from source, a cost an installed picgof
+does not pay.  ``--out`` also appends the comparison to a BENCH file.
 """
 
 from __future__ import annotations
@@ -46,6 +49,8 @@ BOOTSTRAP_SEED = 0
 INTERVAL_LEVEL = 0.95
 #: Thread-count variables of the BLAS and OpenMP runtimes numpy may load.
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+#: Variables that decide whether the timed processes read or write cached bytecode.
+BYTECODE_VARS = ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")
 
 
 def parse_args(argv=None):
@@ -168,6 +173,7 @@ def main(argv=None) -> int:
         "correct": all(r[s]["result"]["correct"] for r in runs for s in ("change", "parent")),
         "first": [r["first"] for r in runs],
         "thread_env": {var: os.environ.get(var) for var in THREAD_VARS},
+        "bytecode_env": {var: os.environ.get(var) for var in BYTECODE_VARS},
         "metrics": compare(runs, directions),
     }
     machine = runs[0]["change"]["report"]["machine"]

@@ -37,17 +37,21 @@ class StatisticSet(NamedTuple):
 
 
 def fold_deviations(d) -> np.ndarray:
-    """Raw statistics (rows x 6, STAT_NAMES order) of a (rows x m) deviation array, m >= 1,
-    folded column by column: each row has a left-to-right scalar loop's bits."""
+    """Raw statistics (rows x 6, STAT_NAMES order) of a (rows x m) deviation array, m >= 1, as
+    a view of (6 x rows): the intervals, rows of ``d.T``, fold in place left to right, so each
+    row has a left-to-right scalar loop's bits."""
     d = np.asarray(d, dtype=float)
-    c_plus, c_minus, s1, s2 = d[:, 0], -d[:, 0], 0.0, 0.0
+    out = np.zeros((6, len(d)))
+    c_plus, c_minus, c, k, s1, s2 = out
+    c_plus[...], c_minus[...] = d[:, 0], -d[:, 0]
     for x in d.T:
-        c_plus = np.where(x > c_plus, x, c_plus)
-        c_minus = np.where(-x > c_minus, -x, c_minus)
-        s1, s2 = s1 + x * x, s2 + np.abs(x)
-    m = d.shape[1]
-    c = np.where(c_minus > c_plus, c_minus, c_plus)
-    return np.column_stack((c_plus, c_minus, c, c_plus + c_minus, s1 / m, s2 / m))
+        np.copyto(c_plus, x, where=x > c_plus)  # not np.maximum, which breaks ties of +-0 apart
+        np.copyto(c_minus, -x, where=-x > c_minus)
+        s1 += x * x
+        s2 += np.abs(x)
+    c[...], k[...] = np.where(c_minus > c_plus, c_minus, c_plus), c_plus + c_minus
+    out[4:] /= d.shape[1]
+    return out.T
 
 
 def compute_statistics(d: Sequence[float]) -> StatisticSet:

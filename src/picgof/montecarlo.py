@@ -67,7 +67,7 @@ def _exceedances(compare, bounds, stats) -> np.ndarray:
 
 def _statistic_chunk(n, percentages, survival, seed, replications, reduce, probs, start):
     """Statistics of one model's replications [start, start + CHUNK_SIZE), reduced by ``reduce``."""
-    streams = [derive_stream(seed, start // CHUNK_SIZE, i) for i in range(len(probs))]
+    streams = [derive_stream(seed, start // CHUNK_SIZE, i) if q else None for i, q in enumerate(probs)]
     counts = draw_counts(n, probs, percentages, streams, min(CHUNK_SIZE, replications - start))
     stats = fold_deviations(product_limit(n, *counts) - survival)
     return stats if reduce is None else reduce(stats)
@@ -174,9 +174,9 @@ class CriticalValueTable:
         return json.dumps(obj)
 
     def check_design(self, scheme: CensoringScheme | None = None, n: int | None = None) -> None:
-        """Raise :class:`CensoringError` unless the table was computed for
-        ``scheme`` and ``n``; an argument left as None is not checked."""
-        if n is not None and n != self.n:
+        """Raise :class:`CensoringError` unless the table was computed for ``scheme`` and
+        ``n``, read by the sample-size rule of :func:`as_int`; None is not checked."""
+        if n is not None and (n := as_int(n, "sample size", 1, MAX_N)) != self.n:
             raise CensoringError(f"table was computed for n = {self.n}, got n = {n}")
         if scheme is not None and scheme_id(scheme) != self.scheme_id:
             raise CensoringError(

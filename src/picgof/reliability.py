@@ -21,22 +21,26 @@ from .schemes import CensoredSample, CensoringScheme
 
 
 def product_limit(n: int, failures, removals) -> np.ndarray:
-    """:func:`survival_values` of every row of (rows x m) count arrays, column by column."""
+    """:func:`survival_values` of every row of (rows x m) count arrays, as a view of (m x rows)
+    whose rows, one interval each, are filled in turn."""
     try:
         failures, removals = (np.asarray(c, dtype=np.int64) for c in (failures, removals))
         at_risk = np.full(len(failures), n, dtype=np.int64)
     except OverflowError:
         raise CensoringError("counts and n must lie in [-2**63, 2**63)") from None
     estimate = np.ones(len(failures))
-    out = np.empty(failures.shape)
-    for j, (x, r) in enumerate(zip(failures.T, removals.T)):
+    out = np.empty(failures.shape[::-1])
+    for j, (x, r, row) in enumerate(zip(failures.T, removals.T, out)):
         live = at_risk > 0
-        if np.any(x[~live] > 0):
+        if live.all():
+            factor = 1.0 - x / at_risk
+        elif np.any(x[~live] > 0):
             raise CensoringError(f"failures reported at inspection {j + 1} but no units were on test")
-        # an empty (or, for hand-fed counts, negative) risk set multiplies by exactly 1.0
-        out[:, j] = estimate = estimate * np.where(live, 1.0 - x / np.where(live, at_risk, 1), 1.0)
-        at_risk = at_risk - x - r
-    return out
+        else:  # an empty (or, for hand-fed counts, negative) risk set multiplies by exactly 1.0
+            factor = np.where(live, 1.0 - x / np.where(live, at_risk, 1), 1.0)
+        estimate = np.multiply(estimate, factor, out=row)
+        at_risk -= x + r
+    return out.T
 
 
 def survival_values(n: int, failures: Sequence[int], removals: Sequence[int]) -> list[float]:

@@ -29,12 +29,15 @@ def withdraw_count(percentage: float, survivors: int | np.ndarray) -> int | np.n
     count is capped at ``survivors``, since the float product can round
     above them (1.0 * (2**63 - 1) is 2**63); the cap compares integers, so
     an int64 array of survivors gets, elementwise, the int a Python int gets.
+    Counts are masked only when some float reaches 2**63 and cannot be cast.
     """
     s = np.asarray(survivors, dtype=np.int64)
     count = np.floor(percentage * s + 1e-9)
-    # a float at or above 2**63 exceeds every int64 count and cannot be cast
-    fits = count < 2.0**63
-    out = np.where(fits, np.minimum(np.where(fits, count, 0.0).astype(np.int64), s), s)
+    if count.max(initial=0.0) < 2.0**63:
+        out = np.minimum(count.astype(np.int64), s)
+    else:  # a float at or above 2**63 exceeds every int64 count and cannot be cast
+        fits = count < 2.0**63
+        out = np.where(fits, np.minimum(np.where(fits, count, 0.0).astype(np.int64), s), s)
     return out if isinstance(survivors, np.ndarray) else int(out)
 
 
@@ -63,25 +66,28 @@ def draw_counts(
     n: int,
     probs: tuple[float, ...],
     percentages: tuple[float, ...],
-    streams: Sequence[np.random.Generator],
+    streams: Sequence[np.random.Generator | None],
     rows: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Failure and removal counts of ``rows`` trajectories, as (rows x m) int64 arrays.
 
-    Interval i draws the failures of every row with one array binomial from
-    ``streams[i]``; an empty risk set draws nothing.  The same generator
-    passed for every interval with ``rows`` = 1 is consumed in interval order.
+    Both are views of (m x rows) arrays: interval i draws the failures of every
+    row into one contiguous row with one array binomial from ``streams[i]``,
+    unless q_i = 0, where numpy would draw 0 and consume nothing, so that
+    ``streams[i]`` is never used and may be None.  An empty risk set draws
+    nothing.  The same generator passed for every interval with ``rows`` = 1
+    is consumed in interval order.
     """
     m = len(probs)
-    failures = np.empty((rows, m), dtype=np.int64)
-    removals = np.empty((rows, m), dtype=np.int64)
+    failures = np.empty((m, rows), dtype=np.int64)
+    removals = np.empty((m, rows), dtype=np.int64)
     at_risk = np.full(rows, n, dtype=np.int64)
-    for i, (q, rng) in enumerate(zip(probs, streams)):
-        failures[:, i] = rng.binomial(at_risk, q)
-        survivors = at_risk - failures[:, i]
-        removals[:, i] = survivors if i == m - 1 else withdraw_count(percentages[i], survivors)
-        at_risk = survivors - removals[:, i]
-    return failures, removals
+    for i, (q, rng, x, r) in enumerate(zip(probs, streams, failures, removals)):
+        x[...] = rng.binomial(at_risk, q) if q else 0
+        at_risk -= x
+        r[...] = at_risk if i == m - 1 else withdraw_count(percentages[i], at_risk)
+        at_risk -= r
+    return failures.T, removals.T
 
 
 def simulate_sample(

@@ -44,6 +44,16 @@ class TestFoldDeviations:
             assert float_bits(stats) == float_bits(row)
             assert all(type(v) is float for v in stats)
 
+    @given(deviation_matrices())
+    @example([[0.0, -0.0], [-0.0, 0.0]])
+    def test_memory_layout_does_not_change_the_bits(self, d):
+        # the engine passes the transposed view of an interval-major array; callers pass lists
+        expected = fold_deviations(d)
+        for layout in (np.ascontiguousarray, np.asfortranarray, lambda a: np.repeat(a, 2, 0)[::2]):
+            assert fold_deviations(layout(np.array(d))).tobytes() == expected.tobytes()
+        for i, row in enumerate(d):
+            assert fold_deviations([row]).tobytes() == expected[i : i + 1].tobytes()
+
 
 class TestComputeStatistics:
     def test_two_interval_example(self):

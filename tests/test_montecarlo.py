@@ -14,6 +14,13 @@ from picgof.sampling import interval_failure_probs, withdraw_count
 from test_gof import BAD_ROWS
 
 SCHEME = pg.CensoringScheme((0.0, 0.2, 0.4, 0.6), (0.3, 0.3, 1.0))
+LONG = pg.CensoringScheme((0.0, 0.2, 0.4, 0.6, 0.8), (0.3, 0.3, 0.3, 1.0))
+#: (scheme, compressed g, its interval probabilities q): intervals with q = 0 and 1.
+SATURATING = [
+    (SCHEME, 0.3, (0.0, 0.25, 2 / 3)),  # a leading q = 0
+    (SCHEME, 0.45, (0.0, 0.0, 1.0)),  # leading zeros, and the last interval saturates
+    (LONG, 0.45, (0.0, 0.0, 1.0, 0.0)),  # every risk set is empty after a saturated interval
+]
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +137,23 @@ class TestReplicatedStatistics:
         expected = reference_rows(SCHEME, 12, fam, seed=8, replications=50)
         for rep in (0, 7, 49):
             assert tuple(stats[rep]) == expected[rep]
+
+    @pytest.mark.parametrize("scheme, g, probs", SATURATING)
+    def test_rows_match_composed_pipeline_where_q_is_zero_or_one(self, scheme, g, probs, monkeypatch):
+        model = pg.AlternativeFamily("compressed", g)
+        assert interval_failure_probs(scheme, model) == pytest.approx(probs, rel=1e-12, abs=0.0)
+        derived = []
+
+        def derive(*key):
+            derived.append(key)
+            return pg.derive_stream(*key)
+
+        monkeypatch.setattr(pg.montecarlo, "derive_stream", derive)
+        stats = pg.replicated_statistics(scheme, 15, model, seed=9, replications=2049)
+        expected = reference_rows(scheme, 15, model, seed=9, replications=2049)
+        assert [tuple(row) for row in stats] == expected
+        # an interval with q = 0 draws nothing, so no stream is derived for it
+        assert sorted(derived) == [(9, c, i) for c in (0, 1) for i, q in enumerate(probs) if q]
 
     def test_seeds_above_2_to_the_63_give_their_own_rows(self):
         def rows(seed):
@@ -361,6 +385,22 @@ class TestPower:
         with pytest.raises(pg.CensoringError, match="computed for n = 15, got n = 16"):
             pg.power(SCHEME, 16, table, [pg.UNIFORM], replications=10, seed=0)
 
+    @pytest.mark.parametrize("n", ["15", True, 15.5, 0])
+    def test_table_check_reads_n_by_the_number_rule(self, table, n):
+        # text "15" is refused as text, not as a mismatch with the table's n = 15
+        with pytest.raises(pg.CensoringError, match="sample size must be an integer"):
+            pg.power(SCHEME, n, table, [pg.UNIFORM], replications=10, seed=0)
+        with pytest.raises(pg.CensoringError, match="sample size must be an integer"):
+            pg.reject((0.0,) * 6, table, n=n)
+
+    @pytest.mark.parametrize("n", [15.0, np.int64(15), Fraction(15), Decimal(15)])
+    def test_table_check_accepts_an_integral_n(self, table, n):
+        fam = pg.AlternativeFamily("lehmann", 2.0)
+        expected = pg.power(SCHEME, 15, table, [fam], replications=100, seed=3)
+        for a, e in zip(pg.power(SCHEME, n, table, [fam], replications=100, seed=3), expected):
+            assert a.tobytes() == e.tobytes()
+        assert pg.reject((0.0,) * 6, table, n=n) == pg.reject((0.0,) * 6, table, n=15)
+
     def test_single_model_not_in_a_list_raises(self, table):
         with pytest.raises(pg.CensoringError, match=r"pass \[model\]"):
             pg.power(SCHEME, 15, table, pg.UNIFORM, replications=10, seed=0)
@@ -397,6 +437,16 @@ class TestPowerCurve:
             one_freq, one_stderr = pg.power(SCHEME, 15, table, [model], 2049, seed=2)
             assert np.array_equal(freq[row], one_freq[0])
             assert np.array_equal(stderr[row], one_stderr[0])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_counts_equal_reference_row_counts(self, table, workers):
+        models = [pg.AlternativeFamily("compressed", g) for _, g, _ in SATURATING[:2]]
+        models.append(pg.AlternativeFamily("lehmann", 2.0))
+        freq, _ = pg.power(SCHEME, 15, table, models, 2049, seed=4, workers=workers)
+        critical = np.array([table.values[name] for name in pg.STAT_NAMES])
+        for row, model in zip(freq, models):
+            stats = np.array(reference_rows(SCHEME, 15, model, seed=4, replications=2049))
+            assert np.array_equal(row, np.count_nonzero(stats > critical, axis=0) / 2049)
 
     def test_batched_pool_keeps_the_bits(self, table, monkeypatch):
         # enough (model x chunk) tasks that two workers take them several at a time

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given
 
@@ -92,6 +93,18 @@ class TestProductLimit:
             values = pg.survival_values(n, x, r)
             assert float_bits(values) == float_bits(row)
             assert all(type(v) is float for v in values)
+
+    @given(count_matrices())
+    @example((10, [[4, 0], [10, 0]], [[6, 0], [0, 0]]))  # risk sets exhausted after 1
+    def test_memory_layout_does_not_change_the_bits(self, counts):
+        # the engine passes transposed views of interval-major arrays; callers pass lists
+        n, failures, removals = counts
+        expected = product_limit(n, failures, removals)
+        for layout in (np.ascontiguousarray, np.asfortranarray, lambda c: np.repeat(c, 2, 0)[::2]):
+            f, r = (layout(np.array(c, dtype=np.int64)) for c in (failures, removals))
+            assert product_limit(n, f, r).tobytes() == expected.tobytes()
+        for i, (x, r) in enumerate(zip(failures, removals)):
+            assert product_limit(n, [x], [r]).tobytes() == expected[i : i + 1].tobytes()
 
     def test_names_the_first_inspection_failing_in_any_row(self):
         failures = [[2, 0, 1], [2, 1, 0]]
