@@ -55,8 +55,10 @@ def fold_deviations(d) -> np.ndarray:
 
 
 def compute_statistics(d: Sequence[float]) -> StatisticSet:
-    """All six statistics of a deviation vector."""
-    d = tuple(d)
+    """All six statistics of a deviation vector, one or more reals read by :func:`as_real`."""
+    if not np.iterable(d):
+        raise CensoringError(f"a deviation vector must be a sequence of reals, got {d!r}")
+    d = [as_real(v, "deviation") for v in d]
     if not d:
         raise CensoringError("cannot summarize an empty deviation vector")
     return StatisticSet(*fold_deviations([d])[0].tolist())

@@ -17,28 +17,19 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CensoringError
-from .schemes import CensoredSample, CensoringScheme
+from .schemes import CensoredSample, CensoringScheme, _count_trajectory
 
 
 def product_limit(n: int, failures, removals) -> np.ndarray:
     """:func:`survival_values` of every row of (rows x m) count arrays, as a view of (m x rows)
-    whose rows, one interval each, are filled in turn."""
-    try:
-        failures, removals = (np.asarray(c, dtype=np.int64) for c in (failures, removals))
-        at_risk = np.full(len(failures), n, dtype=np.int64)
-    except OverflowError:
-        raise CensoringError("counts and n must lie in [-2**63, 2**63)") from None
+    whose rows, one interval each, are filled in turn.  Unchecked precondition: int64 counts
+    reporting no failure once a row's risk set is empty or negative, as in any life test."""
+    failures, removals = (np.asarray(c, dtype=np.int64) for c in (failures, removals))
+    at_risk = np.full(len(failures), n, dtype=np.int64)
     estimate = np.ones(len(failures))
     out = np.empty(failures.shape[::-1])
-    for j, (x, r, row) in enumerate(zip(failures.T, removals.T, out)):
-        live = at_risk > 0
-        if live.all():
-            factor = 1.0 - x / at_risk
-        elif np.any(x[~live] > 0):
-            raise CensoringError(f"failures reported at inspection {j + 1} but no units were on test")
-        else:  # an empty (or, for hand-fed counts, negative) risk set multiplies by exactly 1.0
-            factor = np.where(live, 1.0 - x / np.where(live, at_risk, 1), 1.0)
-        estimate = np.multiply(estimate, factor, out=row)
+    for x, r, row in zip(failures.T, removals.T, out):
+        estimate = np.multiply(estimate, 1.0 - x / np.maximum(at_risk, 1), out=row)
         at_risk -= x + r
     return out.T
 
@@ -46,10 +37,11 @@ def product_limit(n: int, failures, removals) -> np.ndarray:
 def survival_values(n: int, failures: Sequence[int], removals: Sequence[int]) -> list[float]:
     """Product-limit survival estimates at the inspection times, from raw counts.
 
-    Raises :class:`CensoringError` for count vectors reporting failures
-    after the risk set is exhausted; that cannot happen for validated
-    samples, only for hand-fed count vectors.
-    """
+    The count rule: :class:`CensoringError` is raised unless a life test of 1 <= n < 2**63
+    units could have produced the counts, that is one nonnegative integer removal count per
+    failure count, no more failures than units at risk and no more removals than survivors
+    at any inspection.  Units may still be on test after the last count."""
+    n, failures, removals, _ = _count_trajectory(n, failures, removals)
     return product_limit(n, [failures], [removals])[0].tolist()
 
 

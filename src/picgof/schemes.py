@@ -81,8 +81,9 @@ class CensoredSample:
     """Observed counts from one progressively Type-I interval censored life test.
 
     ``failures[i]`` counts units failing in (t_i, t_{i+1}] and ``removals[i]``
-    the survivors withdrawn at the inspection ending that interval.  Every
-    unit must be accounted for: failures and removals sum to ``n``.
+    the survivors withdrawn at the inspection ending that interval.  The counts
+    keep the count rule of :func:`survival_values`, and every unit is accounted
+    for: failures and removals sum to ``n``.
     """
 
     scheme: CensoringScheme
@@ -91,32 +92,40 @@ class CensoredSample:
     removals: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        failures = tuple(as_int(x, "failure count") for x in self.failures)
-        removals = tuple(as_int(r, "removal count") for r in self.removals)
-        object.__setattr__(self, "failures", failures)
-        object.__setattr__(self, "removals", removals)
         m = self.scheme.m
+        failures, removals = tuple(self.failures), tuple(self.removals)
         if len(failures) != m or len(removals) != m:
             raise CensoringError(
                 f"scheme has {m} inspections but got {len(failures)} failure "
                 f"and {len(removals)} removal counts"
             )
-        object.__setattr__(self, "n", as_int(self.n, "n", 1, MAX_N))
-        at_risk = self.n
-        for i, (x, r) in enumerate(zip(failures, removals), start=1):
-            survivors = at_risk - x
-            if survivors < 0:
-                raise CensoringError(f"more failures than units at risk at inspection {i}")
-            if r > survivors:
-                raise CensoringError(f"more removals than survivors at inspection {i}")
-            at_risk = survivors - r
-        # at_risk >= 0 now; anything left over means units were never resolved,
-        # so this also forces the final inspection to withdraw every survivor
-        if at_risk != 0:
-            raise CensoringError(
-                f"failures and removals must account for all {self.n} units, "
-                f"{at_risk} left unresolved"
-            )
+        n, failures, removals, survivors = _count_trajectory(self.n, failures, removals)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "failures", tuple(failures))
+        object.__setattr__(self, "removals", tuple(removals))
+        if survivors[-1] != removals[-1]:  # so the final inspection withdraws every survivor
+            raise CensoringError(f"failures and removals must account for all {n} units, "
+                                 f"{survivors[-1] - removals[-1]} left unresolved")
+
+
+def _count_trajectory(n, failures, removals) -> tuple[int, list[int], list[int], list[int]]:
+    """n and the counts as ints and the survivors after each interval's failures, or
+    :class:`CensoringError` unless the counts keep the count rule of :func:`survival_values`."""
+    failures = [as_int(x, "failure count") for x in failures]
+    removals = [as_int(r, "removal count") for r in removals]
+    if len(failures) != len(removals):
+        raise CensoringError(f"need one removal count per failure count, got {len(failures)} "
+                             f"failure and {len(removals)} removal counts")
+    n = as_int(n, "n", 1, MAX_N)
+    survivors, at_risk = [], n
+    for i, (x, r) in enumerate(zip(failures, removals), start=1):
+        if x > at_risk:
+            raise CensoringError(f"more failures than units at risk at inspection {i}")
+        survivors.append(at_risk - x)
+        if r > survivors[-1]:
+            raise CensoringError(f"more removals than survivors at inspection {i}")
+        at_risk = survivors[-1] - r
+    return n, failures, removals, survivors
 
 
 def scheme_id(scheme: CensoringScheme) -> str:
@@ -192,32 +201,27 @@ def sample_from_csv(text: str) -> CensoredSample:
     """Parse the CSV sample format.
 
     The total ``n`` is the sum of all counts.  Withdrawal percentages are not
-    part of the format; they are inferred as r_i divided by the survivor
-    count at inspection i (1 for the final inspection), which reproduces the
-    observed removals exactly below about 3.5e7 survivors.  The grammar is
-    that of :func:`csv_rows`.
+    part of the format; each is inferred as the smallest float p >= r_i / s_i
+    whose withdrawal from the s_i survivors at inspection i is r_i (1 for the
+    final inspection).  The observed removals are reproduced exactly below
+    2**53 survivors.  The grammar is that of :func:`csv_rows`.
     """
+    from .sampling import withdraw_count  # not at module level: sampling imports this module
+
     rows = csv_rows(text, SAMPLE_CSV_HEADER.split(","))
     if not rows:
         raise CensoringError("no data rows")
-    times = [0.0] + [t for t, _, _ in rows]
     failures = [as_int(x, "failure count") for _, x, _ in rows]
     removals = [as_int(r, "removal count") for _, _, r in rows]
-    n = sum(failures) + sum(removals)
-    percentages = _infer_percentages(n, failures, removals)
-    scheme = CensoringScheme(times, percentages)
+    n, _, _, survivors = _count_trajectory(sum(failures) + sum(removals), failures, removals)
+    percentages = []
+    for r, s in zip(removals[:-1], survivors):
+        p = r / s if s else 0.0
+        while withdraw_count(p, s) < r:  # r / s can round low; p = 1 withdraws all s
+            p = math.nextafter(p, 1.0)
+        percentages.append(p)
+    scheme = CensoringScheme([0.0] + [t for t, _, _ in rows], percentages + [1.0])
     return CensoredSample(scheme, n, tuple(failures), tuple(removals))
-
-
-def _infer_percentages(n: int, failures: list[int], removals: list[int]) -> list[float]:
-    pct = []
-    at_risk = n
-    for x, r in zip(failures, removals):
-        survivors = at_risk - x
-        pct.append(r / survivors if survivors > 0 else 0.0)
-        at_risk = survivors - r
-    pct[-1] = 1.0
-    return pct
 
 
 # ---------------------------------------------------------------------------

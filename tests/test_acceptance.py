@@ -232,3 +232,35 @@ def test_power_increases_along_ordered_alternatives(
                 f"{kind}/{stat}: {values} not increasing at step {i}"
             )
         assert values[-1] > 0.15, f"{kind}/{stat}: weak terminal power {values[-1]}"
+
+
+# --- criterion 8: the general-F0 test holds its size ------------------------
+
+GENERAL_SAMPLES = 1000
+GENERAL_B = 199
+GENERAL_SEED = 8
+# Each null F0 on the design its samples are drawn from.
+GENERAL_NULLS = [("t2p1", "lehmann", 0.8), ("t1p2", "centered", 1.7)]
+
+
+@pytest.mark.parametrize("design,kind,parameter", GENERAL_NULLS,
+                         ids=[f"{d}-{k}:{p}" for d, k, p in GENERAL_NULLS])
+def test_general_null_test_holds_its_size(design, kind, parameter, bundled_schemes):
+    # samples drawn from F0 itself and tested against it, calibrated on the
+    # design re-timed through F0 as `picgof test` does; add-one p-values are
+    # super-uniform, so only the upper side is bounded
+    f0 = pg.AlternativeFamily(kind, parameter)
+    scheme = bundled_schemes[design]
+    working = pg.transform_scheme(scheme, f0)
+    rng = np.random.default_rng(GENERAL_SEED)
+    p_values = []
+    for i in range(GENERAL_SAMPLES):
+        sample = pg.simulate_sample(scheme, N, f0, rng)
+        p = pg.p_value(general_statistics(sample, f0), working, N, GENERAL_B, seed=i)
+        p_values.append([p[name] for name in pg.STAT_NAMES])
+    p_values = np.array(p_values)
+    for alpha in (0.05, 0.10):
+        bound = alpha + 3.0 * math.sqrt(alpha * (1.0 - alpha) / GENERAL_SAMPLES)
+        rates = np.mean(p_values <= alpha, axis=0)
+        for stat, rate in zip(pg.STAT_NAMES, rates.tolist()):
+            assert rate <= bound, f"{design} {kind}:{parameter} {stat}: P(p <= {alpha}) = {rate}"

@@ -1,6 +1,6 @@
-"""The library boundary: every numeric argument of the engine and the sampler
-takes a value of any kind, and each call either returns its documented types
-or raises ``CensoringError``.
+"""The library boundary: every numeric argument of the engine, the sampler and
+the one-sample path takes a value of any kind, and each call either returns its
+documented types or raises ``CensoringError``.
 
 Every call runs at n <= 10 and B <= 10 with one model, so it is one chunk and
 starts no worker pool whatever ``workers`` is.
@@ -71,6 +71,16 @@ def check_sample(sample):
     assert all(type(c) is int for c in sample.failures + sample.removals)
 
 
+def check_survival(values):
+    assert type(values) is list and len(values) == 2
+    assert all(type(v) is float and 0.0 <= v <= 1.0 for v in values)
+
+
+def check_statistics(stats):
+    assert type(stats) is pg.StatisticSet
+    assert all(type(v) is float and math.isfinite(v) for v in stats)
+
+
 def p_value(**kw):
     row = tuple(kw.pop(name) for name in pg.STAT_NAMES)
     return pg.p_value(row, SCHEME, **kw)
@@ -87,6 +97,10 @@ CALLS = {
                               RUN, check_rows),
     "simulate_sample": (lambda n: pg.simulate_sample(SCHEME, n, pg.UNIFORM, pg.derive_stream(1, 0)),
                         {"n": 10}, check_sample),
+    "survival_values": (lambda n, x1, x2, r1, r2: pg.survival_values(n, (x1, x2), (r1, r2)),
+                        {"n": 10, "x1": 2, "x2": 1, "r1": 4, "r2": 3}, check_survival),
+    "compute_statistics": (lambda d1, d2, d3: pg.compute_statistics([d1, d2, d3]),
+                           {"d1": 0.1, "d2": -0.2, "d3": 0.0}, check_statistics),
 }
 ARGUMENTS = [(name, arg) for name, (_, valid, _) in CALLS.items() for arg in valid]
 

@@ -349,6 +349,8 @@ BAD_INPUTS = {
         {"scheme_id": "x", "n": [15], "level": 0.05, "B": 400, "seed": 1, "critical_values": {}}
     ),
     "times_a.json": json.dumps({"times": ["a", 0.5], "percentages": [0.5, 1.0]}),
+    # a cell longer than the csv module's field limit of 131072 characters
+    "huge_cell.csv": "t_i,x_i,r_i\n0.5,1," + "3" * 131073 + "\n",
     # json.loads reads Infinity as a float; every real number must be finite
     "inf_time.json": '{"times": [0.0, 0.5, Infinity], "percentages": [0.5, 1.0]}',
     # a table that matches t1p1 at n = 15 except that its n is not an integer
@@ -397,6 +399,7 @@ class TestErrorBoundary:
             ("critical-values", "--scheme", "tm1.json", "--B", "20"),
             ("critical-values", "--scheme", "times_text.json", "--B", "20"),
             ("test", "--data", "late.csv", "--B", "20"),
+            ("test", "--data", "huge_cell.csv", "--B", "20"),
             ("test", "--data", "ok.csv", "--B", "0"),
             ("test", "--data", "ok.csv", "--null", "table:f0_text.csv", "--B", "20"),
             ("test", "--data", "n_half.json", "--B", "20"),

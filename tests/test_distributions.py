@@ -159,6 +159,10 @@ class TestTabulatedCdf:
         with pytest.raises(pg.CensoringError, match="cdf value must be a finite real number"):
             pg.TabulatedCdf((0.0, 1.0), (0.0, float("nan")))
 
+    def test_rejects_grid_and_values_of_different_lengths(self):
+        with pytest.raises(pg.CensoringError, match="x grid and cdf values differ in length"):
+            pg.TabulatedCdf((0.0, 1.0), (0.0, 0.5, 1.0))
+
     def test_from_csv(self):
         table = pg.TabulatedCdf.from_csv("# comment\nx,cdf\n0.0,0.0\n2.0,1.0\n")
         assert table(1.0) == 0.5

@@ -90,6 +90,11 @@ class TestComputeStatistics:
         with pytest.raises(pg.CensoringError, match="empty deviation vector"):
             pg.compute_statistics([])
 
+    @pytest.mark.parametrize("d", [[None], ["a"], [0.1, math.nan], [0.1, "0.2"], [True], 0.5, None])
+    def test_rejects_deviations_that_are_not_reals(self, d):
+        with pytest.raises(pg.CensoringError, match="deviation"):
+            pg.compute_statistics(d)
+
     @given(deviation_vectors())
     def test_c_is_largest_absolute_deviation(self, d):
         s = pg.compute_statistics(d)

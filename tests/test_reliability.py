@@ -1,6 +1,8 @@
 """Product-limit survival estimates and deviation vectors."""
 
 from fractions import Fraction
+from itertools import accumulate
+from operator import add
 
 import numpy as np
 import pytest
@@ -53,13 +55,42 @@ class TestSurvivalValues:
         "n,failures,removals", [(5, (2**70,), (0,)), (5, (0,), (-2**64,)), (2**63, (0,), (0,))]
     )
     def test_counts_outside_int64(self, n, failures, removals):
-        with pytest.raises(pg.CensoringError, match=r"must lie in \[-2\*\*63, 2\*\*63\)"):
+        # the count rule refuses each: 2**70 failures of 5 units, a negative removal, n = 2**63
+        message = r"^more failures than units at risk at inspection 1$|^(removal count|n) must be"
+        with pytest.raises(pg.CensoringError, match=message):
             pg.survival_values(n, failures, removals)
 
     def test_degenerate_risk_set(self):
         # raw counts claiming a failure after every unit is gone
-        with pytest.raises(pg.CensoringError, match="no units were on test"):
+        message = "more failures than units at risk at inspection 2"
+        with pytest.raises(pg.CensoringError, match=message):
             pg.survival_values(2, (2, 1), (0, 0))
+
+    def test_partial_trajectory_leaves_units_on_test(self):
+        assert pg.survival_values(10, (2,), (4,)) == [0.8]
+        assert pg.survival_values(5, (), ()) == []
+
+    @pytest.mark.parametrize(
+        "n,failures,removals,message",
+        [
+            (5, (3, 4), (0, 0), "more failures than units at risk at inspection 2"),
+            (5, (1, 0), (3, 2), "more removals than survivors at inspection 2"),
+            (5, (1,), (0, 0), "one removal count per failure count, got 1 failure and 2 removal"),
+            (2.5, (True,), (0,), r"failure count must be an integer .* got True"),
+            (2.5, (1,), (0,), r"n must be an integer .* got 2.5"),
+            (5, (None,), (0,), "failure count must be an integer"),
+            (5, (1,), ("1",), "removal count must be an integer"),
+        ],
+        ids=["failures", "removals", "lengths", "bool-count", "fractional-n", "none", "text"],
+    )
+    def test_refuses_counts_no_life_test_produces(self, n, failures, removals, message):
+        with pytest.raises(pg.CensoringError, match=message):
+            pg.survival_values(n, failures, removals)
+
+    @pytest.mark.parametrize("failures,inspection", [((2, 0, 1), 3), ((2, 1, 0), 2)])
+    def test_names_the_first_inspection_failing(self, failures, inspection):
+        with pytest.raises(pg.CensoringError, match=f"at risk at inspection {inspection}$"):
+            pg.survival_values(2, failures, (0, 0, 0))
 
     @given(samples())
     def test_monotone_within_unit_range(self, sample):
@@ -90,6 +121,10 @@ class TestProductLimit:
         assert out.shape == (len(failures), len(failures[0]))
         for row, x, r in zip(out, failures, removals):
             assert float_bits(row) == float_bits(reference_survival_values(n, x, r))
+            if any(n < removed for removed in accumulate(map(add, x, r))):  # a negative risk set
+                with pytest.raises(pg.CensoringError, match="more removals than survivors"):
+                    pg.survival_values(n, x, r)
+                continue
             values = pg.survival_values(n, x, r)
             assert float_bits(values) == float_bits(row)
             assert all(type(v) is float for v in values)
@@ -105,15 +140,6 @@ class TestProductLimit:
             assert product_limit(n, f, r).tobytes() == expected.tobytes()
         for i, (x, r) in enumerate(zip(failures, removals)):
             assert product_limit(n, [x], [r]).tobytes() == expected[i : i + 1].tobytes()
-
-    def test_names_the_first_inspection_failing_in_any_row(self):
-        failures = [[2, 0, 1], [2, 1, 0]]
-        removals = [[0, 0, 0], [0, 0, 0]]
-        for x, r in zip(failures, removals):
-            with pytest.raises(pg.CensoringError):
-                reference_survival_values(2, x, r)
-        with pytest.raises(pg.CensoringError, match="at inspection 2 but"):
-            product_limit(2, failures, removals)
 
 
 class TestDeviations:

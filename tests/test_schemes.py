@@ -1,9 +1,11 @@
 """Scheme/sample construction, validation, risk traces, and serialization."""
 
 import json
+import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import picgof as pg
 from picgof.sampling import withdraw_count
@@ -166,6 +168,24 @@ class TestSerialization:
             else:
                 assert withdraw_count(parsed.scheme.percentages[i], survivors) == r
             at_risk = survivors - r
+
+    @given(st.integers(1, 2**53 - 1).flatmap(lambda s: st.tuples(st.integers(0, s), st.just(s))),
+           st.integers(0, 10))
+    @example((22925511, 34918263), 0)  # r / s withdraws r - 1
+    def test_csv_percentages_reproduce_removals_below_2_53(self, removed_of, failed):
+        # the inferred percentage is the smallest float >= r / s that withdraws r of s
+        r, s = removed_of
+        parsed = pg.sample_from_csv(f"t_i,x_i,r_i\n0.25,{failed},{r}\n0.5,0,{s - r}\n")
+        p = parsed.scheme.percentages[0]
+        assert withdraw_count(p, s) == r
+        assert p >= r / s
+        assert p == r / s or withdraw_count(math.nextafter(p, 0.0), s) < r
+
+    def test_csv_rejects_an_oversized_cell(self):
+        text = "t_i,x_i,r_i\n0.5,1," + "3" * 131073 + "\n"
+        message = r"^unreadable CSV: field larger than field limit \(131072\)$"
+        with pytest.raises(pg.CensoringError, match=message):
+            pg.sample_from_csv(text)
 
     def test_csv_skips_comment_lines(self):
         text = "# a note\nt_i,x_i,r_i\n0.5,2,3\n"
