@@ -59,5 +59,5 @@ def deviations(sample: CensoredSample, null_cdf: Callable[[float], float]) -> tu
     """Estimated minus hypothesized survival at each inspection time; ``null_cdf``
     must leave positive survival at the final one (see :func:`null_survival`)."""
     null = null_survival(sample.scheme, null_cdf).tolist()
-    est = survival_values(sample.n, sample.failures, sample.removals)
+    est = product_limit(sample.n, [sample.failures], [sample.removals])[0].tolist()
     return tuple(e - s for e, s in zip(est, null))

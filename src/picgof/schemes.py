@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import CensoringError
 
 #: Names accepted by :func:`load_scheme` in addition to file paths.
@@ -92,14 +94,8 @@ class CensoredSample:
     removals: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        m = self.scheme.m
-        failures, removals = tuple(self.failures), tuple(self.removals)
-        if len(failures) != m or len(removals) != m:
-            raise CensoringError(
-                f"scheme has {m} inspections but got {len(failures)} failure "
-                f"and {len(removals)} removal counts"
-            )
-        n, failures, removals, survivors = _count_trajectory(self.n, failures, removals)
+        n, failures, removals, survivors = _count_trajectory(self.n, self.failures, self.removals,
+                                                             self.scheme.m)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "failures", tuple(failures))
         object.__setattr__(self, "removals", tuple(removals))
@@ -108,14 +104,19 @@ class CensoredSample:
                                  f"{survivors[-1] - removals[-1]} left unresolved")
 
 
-def _count_trajectory(n, failures, removals) -> tuple[int, list[int], list[int], list[int]]:
+def _count_trajectory(n, failures, removals, m=None) -> tuple[int, list[int], list[int], list[int]]:
     """n and the counts as ints and the survivors after each interval's failures, or
-    :class:`CensoringError` unless the counts keep the count rule of :func:`survival_values`."""
+    :class:`CensoringError` unless the counts keep the count rule of :func:`survival_values`
+    (and, when a scheme's number of inspections ``m`` is given, cover all m)."""
+    for counts, what in ((failures, "failure"), (removals, "removal")):
+        if not np.iterable(counts):
+            raise CensoringError(f"{what} counts must be a sequence of integers, got {counts!r}")
     failures = [as_int(x, "failure count") for x in failures]
     removals = [as_int(r, "removal count") for r in removals]
-    if len(failures) != len(removals):
-        raise CensoringError(f"need one removal count per failure count, got {len(failures)} "
-                             f"failure and {len(removals)} removal counts")
+    if len(removals) != len(failures) or m not in (None, len(failures)):
+        got = f"got {len(failures)} failure and {len(removals)} removal counts"
+        raise CensoringError(f"need one removal count per failure count, {got}" if m is None
+                             else f"scheme has {m} inspections but {got}")
     n = as_int(n, "n", 1, MAX_N)
     survivors, at_risk = [], n
     for i, (x, r) in enumerate(zip(failures, removals), start=1):
@@ -202,9 +203,8 @@ def sample_from_csv(text: str) -> CensoredSample:
 
     The total ``n`` is the sum of all counts.  Withdrawal percentages are not
     part of the format; each is inferred as the smallest float p >= r_i / s_i
-    whose withdrawal from the s_i survivors at inspection i is r_i (1 for the
-    final inspection).  The observed removals are reproduced exactly below
-    2**53 survivors.  The grammar is that of :func:`csv_rows`.
+    whose withdrawal from the s_i survivors at inspection i is r_i, else 1 (and 1
+    at the final inspection): exact below 2**53 survivors.  Grammar: :func:`csv_rows`.
     """
     from .sampling import withdraw_count  # not at module level: sampling imports this module
 
@@ -217,7 +217,7 @@ def sample_from_csv(text: str) -> CensoredSample:
     percentages = []
     for r, s in zip(removals[:-1], survivors):
         p = r / s if s else 0.0
-        while withdraw_count(p, s) < r:  # r / s can round low; p = 1 withdraws all s
+        while p < 1.0 and withdraw_count(p, s) < r:  # r / s can round low; 1.0 ends the walk
             p = math.nextafter(p, 1.0)
         percentages.append(p)
     scheme = CensoringScheme([0.0] + [t for t, _, _ in rows], percentages + [1.0])

@@ -52,11 +52,15 @@ class TestSurvivalValues:
         assert pg.survival_values(4, (4, 0), (0, 0)) == [0.0, 0.0]
 
     @pytest.mark.parametrize(
-        "n,failures,removals", [(5, (2**70,), (0,)), (5, (0,), (-2**64,)), (2**63, (0,), (0,))]
+        "n,failures,removals,message",
+        [
+            (5, (2**70,), (0,), r"^more failures than units at risk at inspection 1$"),
+            (5, (0,), (-2**64,), r"^removal count must be an integer in \[0, inf\)"),
+            (2**63, (0,), (0,), r"^n must be an integer in \[1, 9223372036854775808\)"),
+        ],
     )
-    def test_counts_outside_int64(self, n, failures, removals):
+    def test_counts_outside_int64(self, n, failures, removals, message):
         # the count rule refuses each: 2**70 failures of 5 units, a negative removal, n = 2**63
-        message = r"^more failures than units at risk at inspection 1$|^(removal count|n) must be"
         with pytest.raises(pg.CensoringError, match=message):
             pg.survival_values(n, failures, removals)
 
@@ -80,8 +84,11 @@ class TestSurvivalValues:
             (2.5, (1,), (0,), r"n must be an integer .* got 2.5"),
             (5, (None,), (0,), "failure count must be an integer"),
             (5, (1,), ("1",), "removal count must be an integer"),
+            (5, 3, (0,), "^failure counts must be a sequence of integers, got 3$"),
+            (5, (3,), 0, "^removal counts must be a sequence of integers, got 0$"),
         ],
-        ids=["failures", "removals", "lengths", "bool-count", "fractional-n", "none", "text"],
+        ids=["failures", "removals", "lengths", "bool-count", "fractional-n", "none", "text",
+             "scalar-failures", "scalar-removals"],
     )
     def test_refuses_counts_no_life_test_produces(self, n, failures, removals, message):
         with pytest.raises(pg.CensoringError, match=message):

@@ -107,6 +107,12 @@ class TestCensoredSample:
         with pytest.raises(pg.CensoringError, match="has 2 inspections but got 1 failure"):
             pg.CensoredSample(scheme, 10, (10,), (0, 0))
 
+    @pytest.mark.parametrize("failures,removals,what", [(3, (0,), "failure"), ((3,), 0, "removal")])
+    def test_rejects_a_count_vector_that_is_not_a_sequence(self, failures, removals, what):
+        scheme = pg.CensoringScheme((0.0, 0.5), (1.0,))
+        with pytest.raises(pg.CensoringError, match=f"^{what} counts must be a sequence of integers"):
+            pg.CensoredSample(scheme, 3, failures, removals)
+
     @pytest.mark.parametrize("n", [0, -4, 2.5, "ten"])
     def test_rejects_bad_n(self, n):
         scheme = pg.CensoringScheme((0.0, 0.5), (1.0,))
@@ -180,6 +186,14 @@ class TestSerialization:
         assert withdraw_count(p, s) == r
         assert p >= r / s
         assert p == r / s or withdraw_count(math.nextafter(p, 0.0), s) < r
+
+    @pytest.mark.parametrize("s", [2**53 + 1, 2**62 + 1, 2**63 - 1537])
+    def test_csv_percentage_search_ends_above_2_53(self, s):
+        # float(s) rounds below s, so no float withdraws all s survivors; the
+        # search stops at p = 1 and the sample keeps the observed counts
+        parsed = pg.sample_from_csv(f"t_i,x_i,r_i\n0.25,0,{s}\n0.5,0,0\n")
+        assert parsed.scheme.percentages == (1.0, 1.0)
+        assert (parsed.n, parsed.removals) == (s, (s, 0))
 
     def test_csv_rejects_an_oversized_cell(self):
         text = "t_i,x_i,r_i\n0.5,1," + "3" * 131073 + "\n"
