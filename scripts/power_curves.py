@@ -42,8 +42,7 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     names = list(pg.BUNDLED_SCHEME_NAMES) if args.scheme == "all" else [args.scheme]
     families = sorted(pg.DEFAULT_PARAMETER_GRIDS) if args.family == "all" else [args.family]
-    # absolute, so that $PICGOF_OUT_DIR cannot move the files away from --critical
-    out_dir = pathlib.Path(args.out_dir).resolve()
+    out_dir = pathlib.Path(args.out_dir)
     runs = ["--n", str(args.n), "--B", str(args.replications), "--threads", str(args.threads)]
     for name in names:
         try:

@@ -11,15 +11,14 @@ Subcommands:
 Exit codes: 0 on success, 1 on usage errors, 2 on data errors (unreadable or
 invalid files, domain violations, mismatched tables).
 
-Relative ``--out`` paths are resolved against the PICGOF_OUT_DIR environment
-variable when it is set; without ``--out``, results go to stdout.
+A relative ``--out`` path resolves against the working directory, and missing
+parent directories are created; without ``--out``, results go to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -45,8 +44,6 @@ from .schemes import (
 )
 
 __all__ = ["main", "build_parser", "UsageError"]
-
-OUT_DIR_ENV = "PICGOF_OUT_DIR"
 
 
 class UsageError(Exception):
@@ -135,8 +132,6 @@ def _write(ns: argparse.Namespace, head: dict, rows: str, payload: dict) -> None
         sys.stdout.write(text)
         return
     path = Path(ns.out)
-    if not path.is_absolute() and os.environ.get(OUT_DIR_ENV):
-        path = Path(os.environ[OUT_DIR_ENV]) / path
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text, encoding="utf-8")
 

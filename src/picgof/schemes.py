@@ -129,6 +129,26 @@ def _count_trajectory(n, failures, removals, m=None) -> tuple[int, list[int], li
     return n, failures, removals, survivors
 
 
+def withdraw_count(percentage: float, survivors: int | np.ndarray) -> int | np.ndarray:
+    """Units withdrawn at an inspection: floor(percentage * survivors).
+
+    A tiny additive guard absorbs binary representation error in decimal
+    percentages, so that e.g. 0.1 of 30 survivors withdraws exactly 3.  The
+    count is capped at ``survivors``, since the float product can round
+    above them (1.0 * (2**63 - 1) is 2**63); the cap compares integers, so
+    an int64 array of survivors gets, elementwise, the int a Python int gets.
+    Counts are masked only when some float reaches 2**63 and cannot be cast.
+    """
+    s = np.asarray(survivors, dtype=np.int64)
+    count = np.floor(percentage * s + 1e-9)
+    if count.max(initial=0.0) < 2.0**63:
+        out = np.minimum(count.astype(np.int64), s)
+    else:  # a float at or above 2**63 exceeds every int64 count and cannot be cast
+        fits = count < 2.0**63
+        out = np.where(fits, np.minimum(np.where(fits, count, 0.0).astype(np.int64), s), s)
+    return out if isinstance(survivors, np.ndarray) else int(out)
+
+
 def scheme_id(scheme: CensoringScheme) -> str:
     """Short content digest of a scheme, stable across runs and processes.
 
@@ -206,8 +226,6 @@ def sample_from_csv(text: str) -> CensoredSample:
     whose withdrawal from the s_i survivors at inspection i is r_i, else 1 (and 1
     at the final inspection): exact below 2**53 survivors.  Grammar: :func:`csv_rows`.
     """
-    from .sampling import withdraw_count  # not at module level: sampling imports this module
-
     rows = csv_rows(text, SAMPLE_CSV_HEADER.split(","))
     if not rows:
         raise CensoringError("no data rows")

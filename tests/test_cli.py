@@ -496,13 +496,16 @@ class TestCorruptedInputs:
 
 
 class TestOutputPaths:
-    def test_out_dir_env_resolves_relative_paths(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("PICGOF_OUT_DIR", str(tmp_path))
+    def test_relative_out_ignores_env(self, capsys, tmp_path, monkeypatch):
+        elsewhere = tmp_path / "elsewhere"
+        monkeypatch.setenv("PICGOF_OUT_DIR", str(elsewhere))
+        monkeypatch.chdir(tmp_path)
         code, _, _ = run(
             capsys, "simulate", "--scheme", "t1p1", "--n", "10", "--out", "deep/s.csv"
         )
         assert code == 0
         assert (tmp_path / "deep" / "s.csv").exists()
+        assert not elsewhere.exists()
 
     def test_absolute_out_ignores_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("PICGOF_OUT_DIR", str(tmp_path / "elsewhere"))

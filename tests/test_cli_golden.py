@@ -113,7 +113,6 @@ def test_transcript_covers_every_case():
 def test_cli_output_matches_transcript(index, monkeypatch, tmp_path):
     golden = _load()
     monkeypatch.chdir(GOLDEN_DIR)
-    monkeypatch.delenv("PICGOF_OUT_DIR", raising=False)
     case = golden["cases"][index]
     code, stdout, stderr = _run(case["argv"])
     assert stderr == case["stderr"]
