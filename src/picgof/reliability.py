@@ -37,7 +37,7 @@ def product_limit(n: int, failures, removals) -> np.ndarray:
 def survival_values(n: int, failures: Sequence[int], removals: Sequence[int]) -> list[float]:
     """Product-limit survival estimates at the inspection times, from raw counts.
 
-    The count rule: :class:`CensoringError` is raised unless a life test of 1 <= n < 2**63
+    The count rule: :class:`CensoringError` is raised unless a life test of 1 <= n < 2**53
     units could have produced the counts, that is one nonnegative integer removal count per
     failure count, no more failures than units at risk and no more removals than survivors
     at any inspection.  Units may still be on test after the last count."""

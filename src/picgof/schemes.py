@@ -25,8 +25,8 @@ BUNDLED_SCHEME_NAMES = ("t1p1", "t1p2", "t2p1", "t2p2")
 
 SAMPLE_CSV_HEADER = "t_i,x_i,r_i"
 
-#: Exclusive bound on a sample size: every count fits the int64 binomial draws.
-MAX_N = 2**63
+#: Exclusive bound on a sample size: every count and survivor is an exact float64.
+MAX_N = 2**53
 
 
 @dataclass(frozen=True)
@@ -133,20 +133,13 @@ def withdraw_count(percentage: float, survivors: int | np.ndarray) -> int | np.n
     """Units withdrawn at an inspection: floor(percentage * survivors).
 
     A tiny additive guard absorbs binary representation error in decimal
-    percentages, so that e.g. 0.1 of 30 survivors withdraws exactly 3.  The
-    count is capped at ``survivors``, since the float product can round
-    above them (1.0 * (2**63 - 1) is 2**63); the cap compares integers, so
-    an int64 array of survivors gets, elementwise, the int a Python int gets.
-    Counts are masked only when some float reaches 2**63 and cannot be cast.
+    percentages, so that e.g. 0.1 of 30 survivors withdraws exactly 3.  Below
+    MAX_N every survivor count is an exact float, so for 0 <= percentage <= 1
+    the product never exceeds it and neither does the count; an int64 array of
+    survivors gets, elementwise, the int a Python int gets.
     """
-    s = np.asarray(survivors, dtype=np.int64)
-    count = np.floor(percentage * s + 1e-9)
-    if count.max(initial=0.0) < 2.0**63:
-        out = np.minimum(count.astype(np.int64), s)
-    else:  # a float at or above 2**63 exceeds every int64 count and cannot be cast
-        fits = count < 2.0**63
-        out = np.where(fits, np.minimum(np.where(fits, count, 0.0).astype(np.int64), s), s)
-    return out if isinstance(survivors, np.ndarray) else int(out)
+    count = np.floor(percentage * np.asarray(survivors, dtype=np.int64) + 1e-9).astype(np.int64)
+    return count if isinstance(survivors, np.ndarray) else int(count)
 
 
 def scheme_id(scheme: CensoringScheme) -> str:
@@ -223,8 +216,9 @@ def sample_from_csv(text: str) -> CensoredSample:
 
     The total ``n`` is the sum of all counts.  Withdrawal percentages are not
     part of the format; each is inferred as the smallest float p >= r_i / s_i
-    whose withdrawal from the s_i survivors at inspection i is r_i, else 1 (and 1
-    at the final inspection): exact below 2**53 survivors.  Grammar: :func:`csv_rows`.
+    whose withdrawal from the s_i survivors at inspection i is r_i (and 1 at the
+    final inspection), so the inferred scheme reproduces the removals.  Grammar:
+    :func:`csv_rows`.
     """
     rows = csv_rows(text, SAMPLE_CSV_HEADER.split(","))
     if not rows:

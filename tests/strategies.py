@@ -80,11 +80,12 @@ def families():
 def count_matrices(draw, max_rows=4, max_m=6):
     """(n, failures, removals): rows of raw count trajectories over one m.
 
-    n reaches 2**53.  Rows may exhaust their risk set early, and removals
-    may overshoot the survivors, which leaves a negative risk set; no row
-    reports failures once its risk set is empty or negative.
+    n reaches 2**53 - 1, the top of the count domain.  Rows may exhaust
+    their risk set early, and removals may overshoot the survivors, which
+    leaves a negative risk set; no row reports failures once its risk set is
+    empty or negative.
     """
-    n = draw(st.one_of(st.integers(1, 30), st.integers(1, 2**53)))
+    n = draw(st.one_of(st.integers(1, 30), st.integers(1, 2**53 - 1)))
     m = draw(st.integers(1, max_m))
     failures, removals = [], []
     for _ in range(draw(st.integers(1, max_rows))):

@@ -88,7 +88,7 @@ class TestSimulateAndTest:
     def test_full_withdrawal_of_the_largest_n(self, capsys, tmp_path):
         path = tmp_path / "all_out.json"
         path.write_text('{"times": [0, 1e-30, 0.5], "percentages": [1.0, 1.0]}')
-        n = 2**63 - 1
+        n = 2**53 - 1
         code, out, _ = run(capsys, "simulate", "--scheme", str(path), "--n", str(n))
         assert code == 0
         rows = [line.split(",") for line in out.splitlines()[1:]]
@@ -380,6 +380,8 @@ BAD_INPUTS = {
     "cv_level_one.json": (GOLDEN_DIR / "cv.json").read_text("utf-8").replace(
         '"level": 0.05,', '"level": 1.0,'
     ),
+    # counts summing to 2**53, one unit past the largest sample size
+    "n_2_53.csv": "t_i,x_i,r_i\n0.25,0,4503599627370496\n0.5,0,4503599627370496\n",
 }
 
 CV = ("critical-values", "--scheme", "t1p1", "--n", "10", "--B", "20")
@@ -415,6 +417,9 @@ class TestErrorBoundary:
             ("test", "--data", "ok.csv", "--null", "table:latin1_f0.csv", "--B", "20"),
             ("simulate", "--scheme", "t1p1", "--seed", "-1"),
             ("simulate", "--scheme", "t1p1", "--n", "99999999999999999999"),
+            ("simulate", "--scheme", "t1p1", "--n", "9007199254740992"),
+            ("critical-values", "--scheme", "t1p1", "--n", "9007199254740992", "--B", "20"),
+            ("test", "--data", "n_2_53.csv", "--B", "20"),
             ("critical-values", "--scheme", "long_int.json", "--B", "20"),
             ("test", "--data", "deep.json", "--B", "20"),
             (*POWER, "--critical", "cv_scheme.json"),

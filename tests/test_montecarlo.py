@@ -123,9 +123,9 @@ class TestReplicatedStatistics:
         expected = reference_rows(SCHEME, 15, pg.UNIFORM, seed=5, replications=3000)
         for rep in (0, 1, 17, 2999):
             assert tuple(null_stats[rep]) == expected[rep]
-        # either side of the chunk boundary, a seed above 2**63, and a sample
-        # size above 2**53, where numpy and Python division may round apart
-        for seed, n in ((5, 15), (2**63 + 5, 15), (5, 2**62)):
+        # either side of the chunk boundary, a seed above 2**63, and the
+        # largest sample size
+        for seed, n in ((5, 15), (2**63 + 5, 15), (5, 2**53 - 1)):
             rows = pg.replicated_statistics(SCHEME, n, pg.UNIFORM, seed, replications=2049)
             expected = reference_rows(SCHEME, n, pg.UNIFORM, seed, replications=2049)
             for rep in (0, 2047, 2048):
@@ -201,6 +201,13 @@ class TestCriticalValues:
         stats = pg.replicated_statistics(SCHEME, 5, pg.UNIFORM, seed=2, replications=4)
         for j, name in enumerate(pg.STAT_NAMES):
             assert table.values[name] == float(np.sort(stats[:, j])[1])
+
+    def test_rank_follows_the_decimal_level(self):
+        # 1000 * (1 - 0.059) is 941 in decimal but 941.0000000000001 in binary
+        table = pg.critical_values(SCHEME, 15, level=0.059, replications=1000, seed=4)
+        stats = pg.replicated_statistics(SCHEME, 15, pg.UNIFORM, seed=4, replications=1000)
+        for j, name in enumerate(pg.STAT_NAMES):
+            assert table.values[name] == float(np.sort(stats[:, j])[940])
 
     @pytest.mark.parametrize("level", [0.0, 1.0, -0.2, 1.7])
     def test_rejects_bad_level(self, level):

@@ -56,11 +56,11 @@ class TestSurvivalValues:
         [
             (5, (2**70,), (0,), r"^more failures than units at risk at inspection 1$"),
             (5, (0,), (-2**64,), r"^removal count must be an integer in \[0, inf\)"),
-            (2**63, (0,), (0,), r"^n must be an integer in \[1, 9223372036854775808\)"),
+            (2**53, (0,), (0,), r"^n must be an integer in \[1, 9007199254740992\)"),
         ],
     )
     def test_counts_outside_int64(self, n, failures, removals, message):
-        # the count rule refuses each: 2**70 failures of 5 units, a negative removal, n = 2**63
+        # the count rule refuses each: 2**70 failures of 5 units, a negative removal, n = 2**53
         with pytest.raises(pg.CensoringError, match=message):
             pg.survival_values(n, failures, removals)
 
@@ -120,8 +120,8 @@ class TestProductLimit:
     @given(count_matrices())
     @example((10, [[4, 0], [10, 0]], [[6, 0], [0, 0]]))  # risk sets exhausted after 1
     @example((5, [[1, 0, 0]], [[6, 0, 0]]))  # a negative risk set
-    @example((2**53, [[2**53 - 1]], [[1]]))  # a single column at n = 2**53
-    @example((2**53, [[3, 2**53 - 5]] * 2, [[1, 1]] * 2))
+    @example((2**53 - 1, [[2**53 - 2]], [[1]]))  # a single column at the largest n
+    @example((2**53 - 1, [[3, 2**53 - 6]] * 2, [[1, 1]] * 2))
     def test_rows_equal_the_scalar_loop_bit_for_bit(self, counts):
         n, failures, removals = counts
         out = product_limit(n, failures, removals)

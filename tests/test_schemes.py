@@ -175,8 +175,8 @@ class TestSerialization:
                 assert withdraw_count(parsed.scheme.percentages[i], survivors) == r
             at_risk = survivors - r
 
-    @given(st.integers(1, 2**53 - 1).flatmap(lambda s: st.tuples(st.integers(0, s), st.just(s))),
-           st.integers(0, 10))
+    @given(st.integers(1, 2**53 - 11).flatmap(lambda s: st.tuples(st.integers(0, s), st.just(s))),
+           st.integers(0, 10))  # so that n = s + failed stays below 2**53
     @example((22925511, 34918263), 0)  # r / s withdraws r - 1
     def test_csv_percentages_reproduce_removals_below_2_53(self, removed_of, failed):
         # the inferred percentage is the smallest float >= r / s that withdraws r of s
@@ -187,13 +187,12 @@ class TestSerialization:
         assert p >= r / s
         assert p == r / s or withdraw_count(math.nextafter(p, 0.0), s) < r
 
-    @pytest.mark.parametrize("s", [2**53 + 1, 2**62 + 1, 2**63 - 1537])
-    def test_csv_percentage_search_ends_above_2_53(self, s):
-        # float(s) rounds below s, so no float withdraws all s survivors; the
-        # search stops at p = 1 and the sample keeps the observed counts
-        parsed = pg.sample_from_csv(f"t_i,x_i,r_i\n0.25,0,{s}\n0.5,0,0\n")
-        assert parsed.scheme.percentages == (1.0, 1.0)
-        assert (parsed.n, parsed.removals) == (s, (s, 0))
+    @pytest.mark.parametrize("s", [2**53, 2**53 + 1, 2**62 + 1, 2**63 - 1537])
+    def test_csv_refuses_counts_summing_to_2_53(self, s):
+        # a sample size of 2**53 or more leaves the exact float counts
+        message = r"^n must be an integer in \[1, 9007199254740992\)"
+        with pytest.raises(pg.CensoringError, match=message):
+            pg.sample_from_csv(f"t_i,x_i,r_i\n0.25,0,{s}\n0.5,0,0\n")
 
     def test_csv_rejects_an_oversized_cell(self):
         text = "t_i,x_i,r_i\n0.5,1," + "3" * 131073 + "\n"
