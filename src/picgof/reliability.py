@@ -58,6 +58,5 @@ def null_survival(scheme: CensoringScheme, null_cdf: Callable[[float], float]) -
 def deviations(sample: CensoredSample, null_cdf: Callable[[float], float]) -> tuple[float, ...]:
     """Estimated minus hypothesized survival at each inspection time; ``null_cdf``
     must leave positive survival at the final one (see :func:`null_survival`)."""
-    null = null_survival(sample.scheme, null_cdf).tolist()
-    est = product_limit(sample.n, [sample.failures], [sample.removals])[0].tolist()
-    return tuple(e - s for e, s in zip(est, null))
+    null = null_survival(sample.scheme, null_cdf)
+    return tuple((product_limit(sample.n, [sample.failures], [sample.removals])[0] - null).tolist())

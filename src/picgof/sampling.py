@@ -4,7 +4,7 @@ Given a censoring scheme, a sample size and a lifetime CDF, a sample is built
 interval by interval: every unit entering interval i fails there
 independently with the conditional probability q_i, the failures are counted
 at the inspection, and floor(p_i * survivors) surviving units are withdrawn
-(all of them at the final inspection).
+(all of them at the final inspection, where p_m = 1).
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ def interval_failure_probs(scheme: CensoringScheme, cdf: Cdf) -> tuple[float, ..
     """Conditional per-interval failure probabilities for units entering each interval.
 
     q_i = (F(t_i) - F(t_{i-1})) / (1 - F(t_{i-1})), taken as 0 once F has
-    reached 1 (no unit can enter such an interval alive).  Values are clamped
-    to [0, 1] against rounding spill.
+    reached 1 (no unit can enter such an interval alive), and clamped to 1 for
+    a CDF that exceeds 1.  A decreasing CDF is refused, so q_i is never below 0.
     """
     probs = []
     prev = float(cdf(scheme.times[0]))
@@ -37,7 +37,7 @@ def interval_failure_probs(scheme: CensoringScheme, cdf: Cdf) -> tuple[float, ..
                 f"cdf decreases between inspection times: F({t!r}) = {cur!r} < {prev!r}"
             )
         q = 0.0 if prev >= 1.0 else (cur - prev) / (1.0 - prev)
-        probs.append(0.0 if q < 0.0 else (1.0 if q > 1.0 else q))
+        probs.append(1.0 if q > 1.0 else q)
         prev = cur
     return tuple(probs)
 
@@ -58,14 +58,13 @@ def draw_counts(
     nothing.  The same generator passed for every interval with ``rows`` = 1
     is consumed in interval order.
     """
-    m = len(probs)
-    failures = np.empty((m, rows), dtype=np.int64)
-    removals = np.empty((m, rows), dtype=np.int64)
+    failures = np.empty((len(probs), rows), dtype=np.int64)
+    removals = np.empty((len(probs), rows), dtype=np.int64)
     at_risk = np.full(rows, n, dtype=np.int64)
-    for i, (q, rng, x, r) in enumerate(zip(probs, streams, failures, removals)):
+    for q, p, rng, x, r in zip(probs, percentages, streams, failures, removals):
         x[...] = rng.binomial(at_risk, q) if q else 0
         at_risk -= x
-        r[...] = at_risk if i == m - 1 else withdraw_count(percentages[i], at_risk)
+        r[...] = withdraw_count(p, at_risk)
         at_risk -= r
     return failures.T, removals.T
 

@@ -40,6 +40,7 @@ _CRITERION_ORDER = [
     "test_estimator_identities_hold",
     "test_bit_identical_across_worker_counts",
     "test_power_increases_along_ordered_alternatives",
+    "test_general_null_test_holds_its_size",
 ]
 
 

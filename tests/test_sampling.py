@@ -71,9 +71,19 @@ class TestWithdrawCount:
         assert withdraw_count(1 / 3, 2) == 0
         assert withdraw_count(0.999, 1) == 0
 
-    def test_never_withdraws_more_than_survive(self):
-        # the largest survivor count is an exact float, so the product is too
-        assert withdraw_count(1.0, MAX_N - 1) == MAX_N - 1
+    @given(st.integers(0, MAX_N - 1))
+    @example(0)
+    @example(1)
+    @example(2**52)
+    @example(MAX_N - 1)
+    def test_never_withdraws_more_than_survive(self, survivors):
+        # every survivor count is an exact float, so the full percentage withdraws
+        # exactly the survivors; draw_counts relies on it to empty the risk set at
+        # the last inspection, whose percentage every scheme fixes at 1.0
+        assert withdraw_count(1.0, survivors) == survivors
+        counts = withdraw_count(1.0, np.array([survivors], dtype=np.int64))
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [survivors]
 
     @given(st.lists(st.integers(0, MAX_N - 1), min_size=1, max_size=8), st.floats(0.0, 1.0))
     @example([MAX_N - 1], 1.0)  # the top of the count domain
