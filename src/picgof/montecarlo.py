@@ -2,9 +2,12 @@
 
 Replications run in chunks of CHUNK_SIZE.  Chunk c draws interval i of all
 its replications with one array binomial from the Philox stream keyed by
-(master seed, c), with i in the counter's high word.  Chunks are reassembled
-in index order, so every result is a pure function of (scheme, n, model,
-seed, B): running with 1, 4 or 8 worker processes yields bit-identical outputs.
+(master seed, c), with i in the counter's high word.  That binomial returns
+numpy's ``Generator.binomial`` values, mostly looked up in inversion tables
+that each process caches (see :func:`picgof.sampling._binomial`); the cache
+changes speed, never a value.  Chunks are reassembled in index order, so
+every result is a pure function of (scheme, n, model, seed, B): running with
+1, 4 or 8 worker processes yields bit-identical outputs.
 """
 
 from __future__ import annotations

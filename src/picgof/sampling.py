@@ -9,6 +9,8 @@ at the inspection, and floor(p_i * survivors) surviving units are withdrawn
 
 from __future__ import annotations
 
+import math
+import threading
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,6 +44,140 @@ def interval_failure_probs(scheme: CensoringScheme, cdf: Cdf) -> tuple[float, ..
     return tuple(probs)
 
 
+#: Buckets of a table's guide (Chen & Asau 1974): a draw u starts its search at
+#: the first column whose upper limit is at least floor(u * 64) / 64.
+_GUIDE = 64
+#: Fewest live rows drawn from a table; below it numpy's own loop is faster.
+_MIN_ROWS = 512
+#: Most risk sets one table spans, each a row of under 400 cells.
+_SPAN = 512
+#: The table cache drops its oldest tables while it holds more bytes than
+#: this, so a larger table is used once.
+_CACHE_BYTES = 1 << 20
+#: Inversion tables by the probability p <= 1/2 that numpy's inversion sampler
+#: is run with, as :func:`_inversion_table` builds them.
+_tables: dict[float, tuple] = {}
+#: Held while a table is added and old ones dropped, for callers in threads.
+_tables_lock = threading.Lock()
+
+
+def _inversion_table(p: float, lo: int, hi: int) -> tuple:
+    """numpy's inversion sampler at ``p`` as a lookup table for every n in [lo, hi]:
+    ``(lo, hi, upper, lower, guide, width)``, flat arrays of one row per n.
+
+    Column x + 1 of a row of ``width`` stands for the count x <= bound, where
+    bound = floor(min(n, np + 10 sqrt(np(1 - p) + 1))) is the count past which
+    numpy would reject u and draw again.  With c_x the running sums of numpy's
+    pmf recurrence, in its own operations (px_0 from libm's exp and log1p), and
+    the margin m = 4(x + 1) * 2**-53, a u with c_{x-1} + m < u <= c_x - m
+    draws x: ``upper`` holds c_x - m and ``lower`` c_{x-1} + m.  Column 0 holds
+    -1, which every u passes, and columns past the bound hold NaN, which no u
+    passes or lands in.  ``guide`` holds, for each n and bucket j, the flat
+    position of row n's first column whose upper limit is not below j / _GUIDE.
+    """
+    q = 1.0 - p
+    n = np.arange(lo, hi + 1, dtype=np.int64)
+    mean = n * p
+    bound = np.minimum(n, mean + 10.0 * np.sqrt(mean * q + 1)).astype(np.int64)
+    width = int(bound[-1]) + 3
+    pmf = (n + 1.0 - np.arange(width - 2)[:, None]) * p  # (n - x + 1) p, exact
+    pmf[0] = [math.exp(v) for v in (n * math.log1p(-p)).tolist()]
+    for x in range(1, width - 2):
+        pmf[x] *= pmf[x - 1]
+        pmf[x] /= x * q
+    cum = np.full((len(n), width), -1.0)
+    np.cumsum(pmf.T, axis=1, out=cum[:, 1:-1])
+    cum[np.arange(width) > bound[:, None] + 1] = np.nan
+    margin = np.arange(width) * 2.0**-51
+    upper = cum - margin
+    lower = np.full_like(cum, np.nan)
+    lower[:, 1:] = cum[:, :-1] + margin[1:]
+    lower[np.isnan(cum)] = np.nan
+    rows = np.arange(len(n))[:, None]
+    bucket = np.floor(np.nan_to_num(upper, nan=1.0) * _GUIDE).clip(-1, _GUIDE - 1) + 1
+    counts = np.bincount((rows * (_GUIDE + 1) + bucket.astype(np.int64)).ravel(),
+                         minlength=len(n) * (_GUIDE + 1)).reshape(len(n), _GUIDE + 1)
+    guide = np.cumsum(counts[:, :_GUIDE], axis=1) + rows * width
+    return lo, hi, upper.ravel(), lower.ravel(), guide.ravel(), width
+
+
+def _table(p: float, n: np.ndarray) -> tuple | None:
+    """The cached :func:`_inversion_table` at ``p`` for the nonzero risk sets
+    ``n``, built if needed; None where numpy leaves inversion (np > 30), where
+    fewer than _MIN_ROWS rows would share a lookup's fixed cost, or where the
+    table would span more risk sets than ``n`` has rows, or than _SPAN.
+
+    A new table reaches a quarter of the span of ``n`` past each end, so that
+    the later chunks of a model mostly find their risk sets in it.
+    """
+    lo, hi = int(n.min()), int(n.max())
+    if hi * p > 30.0 or len(n) < _MIN_ROWS:
+        return None
+    entry = _tables.get(p)
+    if entry is not None and entry[0] <= lo and hi <= entry[1]:
+        return entry
+    span = min(len(n), _SPAN)
+    if hi - lo >= span:
+        return None
+    pad = (hi - lo) // 4 + 1
+    if hi - lo + 2 * pad < span:
+        lo, hi = max(1, lo - pad), hi + pad
+    with _tables_lock:
+        entry = _tables[p] = _inversion_table(p, lo, hi)
+        while sum(a.nbytes for e in _tables.values() for a in e[2:5]) > _CACHE_BYTES:
+            del _tables[next(iter(_tables))]
+    return entry
+
+
+def _invert(u: np.ndarray, n: np.ndarray, table: tuple) -> np.ndarray | None:
+    """The counts numpy's inversion loop draws from uniforms ``u`` at risk sets
+    ``n``, looked up in an :func:`_inversion_table`; None if some u lies within
+    a margin of the running sum it would stop at, or past the bound.
+
+    Each row starts at its guide entry and advances while u is above the upper
+    limit; it draws the count of the column it stops at if u is above the
+    lower limit there.
+    """
+    lo, _, upper, lower, guide, width = table
+    row = n - lo
+    pos = guide[row * _GUIDE + (u * _GUIDE).astype(np.int64)]
+    i = np.flatnonzero(u > upper[pos])
+    while i.size:
+        pos[i] += 1
+        i = i[u[i] > upper[pos[i]]]
+    if (u > lower[pos]).all():
+        return pos - row * width - 1
+    return None
+
+
+def _binomial(rng: np.random.Generator, at_risk: np.ndarray, q: float) -> np.ndarray:
+    """``rng.binomial(at_risk, q)`` for an int64 array, leaving ``rng`` where numpy would.
+
+    numpy 2.4.6 draws a row with n > 0 and np <= 30, where p = min(q, 1 - q), by
+    inversion: from one uniform u, x is the first count with
+    u - px_0 - ... - px_{x-1} <= px_x, and a draw at q > 1/2 is n - x.  Here
+    the rows look their u up in a cached table of the same px's running sums
+    c instead (:func:`_invert`).  Rounding moves numpy's subtraction chain and
+    the sums apart by under 1.5 x * 2**-53, so where u lies more than
+    4(x + 1) * 2**-53 from c_x and c_{x-1}, numpy's loop stops at x too.
+    Otherwise, and wherever :func:`_table` gives no table, numpy draws from the
+    saved state.  The cache changes speed, never a value.
+    """
+    live = np.flatnonzero(at_risk)
+    n = at_risk[live]
+    table = _table(1.0 - q if q > 0.5 else q, n) if 0.0 < q <= 1.0 and live.size else None
+    if table is not None:
+        state = rng.bit_generator.state
+        u = rng.random(live.size)
+        x = _invert(u, n, table)
+        if x is not None:
+            counts = np.zeros_like(at_risk)
+            counts[live] = n - x if q > 0.5 else x
+            return counts
+        rng.bit_generator.state = state
+    return rng.binomial(at_risk, q)
+
+
 def draw_counts(
     n: int,
     probs: tuple[float, ...],
@@ -54,15 +190,17 @@ def draw_counts(
     Both are views of (m x rows) arrays: interval i draws the failures of every
     row into one contiguous row with one array binomial from ``streams[i]``,
     unless q_i = 0, where numpy would draw 0 and consume nothing, so that
-    ``streams[i]`` is never used and may be None.  An empty risk set draws
-    nothing.  The same generator passed for every interval with ``rows`` = 1
-    is consumed in interval order.
+    ``streams[i]`` is never used and may be None.  The array binomial is
+    :func:`_binomial`: numpy's values and stream position, looked up in cached
+    inversion tables where that is exact.  An empty risk set draws nothing.
+    The same generator passed for every interval with ``rows`` = 1 is
+    consumed in interval order.
     """
     failures = np.empty((len(probs), rows), dtype=np.int64)
     removals = np.empty((len(probs), rows), dtype=np.int64)
     at_risk = np.full(rows, n, dtype=np.int64)
     for q, p, rng, x, r in zip(probs, percentages, streams, failures, removals):
-        x[...] = rng.binomial(at_risk, q) if q else 0
+        x[...] = _binomial(rng, at_risk, q) if q else 0
         at_risk -= x
         r[...] = withdraw_count(p, at_risk)
         at_risk -= r

@@ -1,6 +1,9 @@
 """Sample generation: interval probabilities, withdrawals, and the binomial law."""
 
 import math
+import sys
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 import picgof as pg
+from picgof import sampling
 from picgof.sampling import interval_failure_probs, withdraw_count
 from picgof.schemes import MAX_N
 from strategies import families, schemes
@@ -165,3 +169,196 @@ class TestSimulateSample:
             total += pg.simulate_sample(T1P1, 40, pg.UNIFORM, pg.derive_stream(23, r)).failures[0]
         se = np.sqrt(40 * 0.1 * 0.9 / reps)
         assert abs(total / reps - 4.0) < 4 * se
+
+
+#: numpy's uniforms are multiples of this.
+ULP = 2.0**-53
+
+
+def _philox(seed, first=()):
+    """A Philox generator keyed by ``seed`` whose next uniforms are ``first``
+    (at most four multiples of 2**-53 in [0, 1)), read from its output buffer."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    if first:
+        state = rng.bit_generator.state
+        state["buffer"][4 - len(first):] = [round(u / ULP) << 11 for u in first]
+        state["buffer_pos"] = 4 - len(first)
+        rng.bit_generator.state = state
+    return rng
+
+
+def _numpy_inversion(u, n, p):
+    """numpy's inversion loop (random_binomial_inversion, numpy 2.4.6) for one
+    uniform ``u``, n and p <= 1/2, with its own operations; None where it would
+    reject u and draw again."""
+    q = 1.0 - p
+    mean = n * p
+    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
+    x, px = 0, math.exp(n * math.log1p(-p))
+    while u > px:
+        x += 1
+        if x > bound:
+            return None
+        u -= px
+        px = ((n - x + 1) * p * px) / (x * q)
+    return x
+
+
+def _running_sums(n, p):
+    """c_0 .. c_bound, the sequential sums of numpy's pmf recurrence."""
+    q = 1.0 - p
+    mean = n * p
+    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
+    px = c = math.exp(n * math.log1p(-p))
+    sums = [c]
+    for x in range(1, bound + 1):
+        px = ((n - x + 1) * p * px) / (x * q)
+        c += px
+        sums.append(c)
+    return sums
+
+
+def _same_draws(at_risk, q, seed, first=()):
+    """Whether _binomial and Generator.binomial draw alike from twin streams and
+    leave them at the same next raw 64-bit draw."""
+    a, b = _philox(seed, first), _philox(seed, first)
+    x = sampling._binomial(a, at_risk, q)
+    y = b.binomial(at_risk, q)
+    assert x.dtype == y.dtype == np.int64
+    return np.array_equal(x, y) and a.bit_generator.random_raw() == b.bit_generator.random_raw()
+
+
+@st.composite
+def risk_sets(draw):
+    """int64 risk-set arrays of 1, 2 or 2048 rows (or up to 64), clustered or
+    spread anywhere in [0, 2**53), with some or all rows empty."""
+    rows = draw(st.sampled_from([1, 2, 2048]) | st.integers(1, 64))
+    top = draw(st.sampled_from([60, 400, 10**6, MAX_N - 1]))
+    base = draw(st.integers(0, top))
+    spread = draw(st.sampled_from([0, 1, 40, top]))
+    empty = draw(st.sampled_from([0.0, 0.1, 1.0]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    at_risk = np.minimum(base + gen.integers(0, spread, rows, endpoint=True), top)
+    at_risk[gen.random(rows) < empty] = 0
+    return at_risk.astype(np.int64)
+
+
+#: Failure probabilities: anywhere in [0, 1], tiny (np <= 30 even at n near
+#: 2**53), within 1e-6 of 1, and the branch points of numpy's sampler.
+failure_probs = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(1e-15, 1e-6),
+    st.floats(1e-15, 1e-6).map(lambda e: 1.0 - e),
+    st.sampled_from([0.25, 0.5, 0.75, 1.0]),
+)
+
+
+class TestTableBinomial:
+    """sampling._binomial draws Generator.binomial's values from its stream."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(risk_sets(), failure_probs, st.integers(0, 2**64 - 1))
+    @example(np.full(1, MAX_N - 1), 1e-15, 0)  # tiny p at the top of the count domain
+    @example(np.array([1, 79_000_000_000]), 1e-11, 1)  # a span no table may cover
+    @example(np.full(2048, 120), 0.25, 2)  # np is exactly 30: still inversion
+    @example(np.full(2048, 120), 0.75, 3)  # the same, drawn as n - x
+    @example(np.full(2048, 121), 0.25, 4)  # np just above 30: numpy's BTPE
+    @example(np.full(2048, 60), 0.5, 5)  # p = 1/2 is drawn as x, not n - x
+    @example(np.full(2048, 40), 1.0, 6)
+    @example(np.zeros(2048, dtype=np.int64), 0.3, 7)
+    def test_equals_numpy_from_cold_and_warm_cache(self, at_risk, q, seed):
+        # every row count takes the table path, so 1 and 2 rows are tables too
+        with mock.patch.object(sampling, "_MIN_ROWS", 1):
+            sampling._tables.clear()
+            assert _same_draws(at_risk, q, seed)
+            assert _same_draws(at_risk, q, (seed + 1) % 2**64)
+
+    def test_engine_chunk_is_drawn_from_a_table(self):
+        # a 2048-row interval of the power-sweep kind is looked up, not redrawn
+        at_risk = np.random.default_rng(7).binomial(180, 0.9, 2048)
+        sampling._tables.clear()
+        table = sampling._table(0.08, at_risk)
+        assert table is not None and sampling._table(0.08, at_risk) is table
+        u = _philox(11).random(2048)
+        assert np.array_equal(sampling._invert(u, at_risk, table), _philox(11).binomial(at_risk, 0.08))
+
+    @pytest.mark.parametrize(
+        "n,p", [(1, 0.5), (5, 0.1), (40, 0.1), (200, 0.15), (120, 0.25), (7, 0.0), (2**40, 1e-11)]
+    )
+    def test_decision_at_every_running_sum(self, n, p):
+        # at and beside each c_x a u is either refused or drawn as numpy's loop
+        # draws it; a u far from every c_x is always drawn
+        table = sampling._inversion_table(p, n, n)
+        sums = _running_sums(n, p)
+        for x, c in enumerate(sums):
+            for k in range(math.floor(c / ULP) - 6, math.floor(c / ULP) + 7):
+                u = k * ULP
+                if 0.0 <= u < 1.0:
+                    got = sampling._invert(np.array([u]), np.array([n]), table)
+                    assert got is None or got.tolist() == [_numpy_inversion(u, n, p)]
+            low = sums[x - 1] if x else 0.0
+            if c - low > 64 * (x + 1) * ULP:
+                u = math.floor((low + c) / 2 / ULP) * ULP
+                assert sampling._invert(np.array([u]), np.array([n]), table).tolist() == [x]
+
+    @pytest.mark.parametrize("n,p", [(40, 0.1), (40, 0.9)])
+    def test_fallback_inside_a_margin_leaves_the_stream_where_numpy_does(self, n, p):
+        # u exactly on c_2 is refused, so numpy draws all three rows
+        c2 = _running_sums(n, min(p, 1.0 - p))[2]
+        u = round(c2 / ULP) * ULP
+        table = sampling._inversion_table(min(p, 1.0 - p), n, n)
+        assert sampling._invert(np.array([u]), np.array([n]), table) is None
+        with mock.patch.object(sampling, "_MIN_ROWS", 1):
+            assert _same_draws(np.full(3, n), p, 9, [u, 0.5, 0.25])
+
+    def test_fallback_past_the_bound_leaves_the_stream_where_numpy_does(self):
+        # c_bound < 1 - 2**-53 at n = 10, p = 0.45: numpy rejects the largest u
+        # and draws again from the next one
+        u = 1.0 - ULP
+        assert _running_sums(10, 0.45)[-1] < u and _numpy_inversion(u, 10, 0.45) is None
+        assert sampling._invert(np.array([u]), np.array([10]), sampling._inversion_table(0.45, 10, 10)) is None
+        with mock.patch.object(sampling, "_MIN_ROWS", 1):
+            assert _same_draws(np.array([10, 10]), 0.45, 12, [0.5, u, 0.25])
+
+    def test_cache_never_changes_an_output(self):
+        scheme = pg.load_scheme("t1p1")
+        models = [pg.parse_family(f"compressed:{g}") for g in (0.0, 0.1, 0.3)]
+
+        def run():
+            table = pg.critical_values(scheme, 200, 0.05, 3000, seed=4)
+            freq, _ = pg.power(scheme, 200, table, models, 3000, seed=5)
+            return table.to_json(), freq.tobytes()
+
+        sampling._tables.clear()
+        cold = run()
+        assert sampling._tables
+        assert run() == cold
+        # tables of the same probabilities, built for other risk sets
+        sampling._tables.clear()
+        for model in models:
+            pg.replicated_statistics(scheme, 150, model, 8, 3000)
+        assert run() == cold
+        with mock.patch.object(sampling, "_CACHE_BYTES", 0):
+            assert run() == cold
+
+    def test_threads_adding_and_dropping_tables_draw_numpys_values(self):
+        at_risk = np.random.default_rng(3).binomial(60, 0.8, 600)
+        agree = {}
+
+        def draw(k):
+            agree[k] = all(_same_draws(at_risk, 0.01 * (k + 1) + 0.001 * j, 100 * k + j) for j in range(40))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # a cache of a few tables, so that every thread's builds drop others'
+            with mock.patch.object(sampling, "_CACHE_BYTES", 1 << 16):
+                threads = [threading.Thread(target=draw, args=(k,)) for k in range(6)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert agree == {k: True for k in range(6)}
