@@ -1,0 +1,117 @@
+#!/usr/bin/env python3
+"""Mutation gate: every listed mutant of ``src/`` must fail one of its named test modules.
+
+    python3 scripts/mutants.py
+
+Each mutant is one text edit, (file, old text, new text, test modules), whose old
+text occurs exactly once in the file.  The script first runs the union of the named
+modules on an unedited copy of ``src/`` and ``tests/``, which must pass.  Then, per
+mutant, it applies the edit to a fresh temporary copy, runs only the named modules
+(pytest stops at the first failure; hypothesis runs with a fixed seed and an empty
+example database), and prints ``killed`` or ``survived`` with the time taken.  It exits
+1 if any mutant survives, if an edit no longer applies, or if a run ends in anything
+but passing or failing tests.  The mutants cover the engine's interval step, the
+cached-table binomial sampler, the withdrawal rule and the chunk and stream layout, so
+that a later change cannot weaken the tests that hold their bits, counts and stream
+positions unnoticed.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SAMPLING, GOF, RELIABILITY, SCHEMES, MONTECARLO = (
+    f"src/picgof/{name}.py" for name in ("sampling", "gof", "reliability", "schemes", "montecarlo")
+)
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = [
+    Mutant("table margin 0", SAMPLING, "margin = np.arange(width) * 2.0**-51",
+           "margin = np.arange(width) * 0.0", ("tests/test_sampling.py",)),
+    Mutant("math.log(1 - p) for log1p", SAMPLING, "(n * math.log1p(-p))",
+           "(n * math.log(1 - p))", ("tests/test_sampling.py",)),
+    Mutant("no stream state restore", SAMPLING, "        rng.bit_generator.state = state\n",
+           "", ("tests/test_sampling.py",)),
+    Mutant("flip at q = 1/2 moved", SAMPLING, "counts[live] = n - x if q > 0.5 else x",
+           "counts[live] = n - x if q >= 0.5 else x", ("tests/test_sampling.py",)),
+    Mutant("bound one column too far", SAMPLING, "cum[np.arange(width) > bound[:, None] + 1]",
+           "cum[np.arange(width) > bound[:, None] + 2]", ("tests/test_sampling.py",)),
+    Mutant("fold with np.maximum", GOF, "np.copyto(c_plus, d, where=d > c_plus)",
+           "np.maximum(c_plus, d, out=c_plus)", ("tests/test_gof.py",)),
+    Mutant("estimate without max(a, 1)", RELIABILITY, "x / np.maximum(at_risk, 1)",
+           "x / at_risk", ("tests/test_reliability.py",)),
+    Mutant("c+- not seeded from interval 0", GOF, "        c_plus[...], c_minus[...] = d, -d\n",
+           "        pass\n", ("tests/test_gof.py",)),
+    Mutant("withdraw_count without its +1e-9", SCHEMES,
+           "np.asarray(survivors, dtype=np.int64) + 1e-9)",
+           "np.asarray(survivors, dtype=np.int64))", ("tests/test_sampling.py",)),
+    Mutant("_replicate reassembling chunks out of order", MONTECARLO,
+           "zip(starts, parts)", "zip(starts[-2::-1] + starts[-1:], parts)",  # full chunks reversed
+           ("tests/test_montecarlo.py",)),
+    Mutant("derive_stream keyed without its interval", MONTECARLO,
+           "counter=[0, 0, 0, interval]", "counter=[0, 0, 0, 0]", ("tests/test_montecarlo.py",)),
+]
+
+
+def run_tests(mutant: Mutant | None, modules) -> tuple[int, float, str]:
+    """pytest's exit code, seconds and output for ``modules`` on a temporary copy of the
+    repository's sources and tests with ``mutant`` applied (None: unedited)."""
+    with tempfile.TemporaryDirectory(prefix="picgof-mutant-") as tmp:
+        work = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
+        for tree in ("src", "tests"):
+            shutil.copytree(ROOT / tree, work / tree, ignore=skip)
+        shutil.copy2(ROOT / "pyproject.toml", work)
+        if mutant is not None:
+            path = work / mutant.file
+            text = path.read_text("utf-8")
+            if text.count(mutant.old) != 1:
+                return -1, 0.0, f"{mutant.file}: the old text occurs {text.count(mutant.old)} times"
+            path.write_text(text.replace(mutant.old, mutant.new), "utf-8")
+        env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
+        argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                "--hypothesis-seed=0", *modules]
+        begin = time.perf_counter()
+        done = subprocess.run(argv, cwd=work, env=env, capture_output=True, text=True)
+        return done.returncode, time.perf_counter() - begin, done.stdout + done.stderr
+
+
+def main() -> int:
+    begin = time.perf_counter()
+    modules = sorted({m for mutant in MUTANTS for m in mutant.tests})
+    code, seconds, out = run_tests(None, modules)
+    if code != 0:
+        print(f"the unedited copy fails its tests (exit {code}):\n{out[-2000:]}")
+        return 1
+    print(f"unedited copy: passed ({seconds:.1f} s)")
+    failed = 0
+    for mutant in MUTANTS:
+        code, seconds, out = run_tests(mutant, mutant.tests)
+        verdict = {0: "survived", 1: "killed"}.get(code, "error")
+        print(f"{verdict:8} {mutant.name} ({seconds:.1f} s; {', '.join(mutant.tests)})")
+        if verdict != "killed":
+            failed += 1
+            print(out[-2000:] if verdict == "error" else "", end="")
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed "
+          f"in {time.perf_counter() - begin:.0f} s")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

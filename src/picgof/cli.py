@@ -80,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--B", type=int, default=20000, dest="replications",
                            help="Monte Carlo replications (default 20000)")
             p.add_argument("--threads", type=int, default=1, dest="workers",
-                           help="worker processes, never more than the CPU count; "
-                           "0 means one per CPU (default 1)")
+                           help="worker processes, never more than the CPUs this process "
+                           "may run on; 0 means one per such CPU (default 1)")
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
         p.add_argument("--out", help="output path; stdout when omitted")
         p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")

@@ -36,22 +36,26 @@ class StatisticSet(NamedTuple):
         return tuple(self)
 
 
-def fold_deviations(d) -> np.ndarray:
-    """Raw statistics (rows x 6, STAT_NAMES order) of a (rows x m) deviation array, m >= 1, as
-    a view of (6 x rows): the intervals, rows of ``d.T``, fold in place left to right, so each
-    row has a left-to-right scalar loop's bits."""
-    d = np.asarray(d, dtype=float)
-    out = np.zeros((6, len(d)))
-    c_plus, c_minus, c, k, s1, s2 = out
-    c_plus[...], c_minus[...] = d[:, 0], -d[:, 0]
-    for x in d.T:
-        np.copyto(c_plus, x, where=x > c_plus)  # not np.maximum, which breaks ties of +-0 apart
-        np.copyto(c_minus, -x, where=-x > c_minus)
-        s1 += x * x
-        s2 += np.abs(x)
+def _fold(stats, d, first: bool) -> None:
+    """Fold deviations ``d``, one interval of every row, into (6 x rows) accumulators ``stats``
+    in place: the largest d and -d, and the sums of d * d and |d|.  The first interval seeds
+    the largest values before its own update, so each row has a scalar loop's bits."""
+    c_plus, c_minus, _, _, s1, s2 = stats
+    if first:
+        c_plus[...], c_minus[...] = d, -d
+    np.copyto(c_plus, d, where=d > c_plus)  # not np.maximum, which breaks ties of +-0 apart
+    np.copyto(c_minus, -d, where=-d > c_minus)
+    s1 += d * d
+    s2 += np.abs(d)
+
+
+def _finish(stats, m: int) -> np.ndarray:
+    """The statistics (rows x 6, STAT_NAMES order) of accumulators that :func:`_fold` filled
+    over ``m`` intervals, as a view of ``stats``, which is finished in place."""
+    c_plus, c_minus, c, k, _, _ = stats
     c[...], k[...] = np.where(c_minus > c_plus, c_minus, c_plus), c_plus + c_minus
-    out[4:] /= d.shape[1]
-    return out.T
+    stats[4:] /= m
+    return stats.T
 
 
 def compute_statistics(d: Sequence[float]) -> StatisticSet:
@@ -61,7 +65,10 @@ def compute_statistics(d: Sequence[float]) -> StatisticSet:
     d = [as_real(v, "deviation") for v in d]
     if not d:
         raise CensoringError("cannot summarize an empty deviation vector")
-    return StatisticSet(*fold_deviations([d])[0].tolist())
+    stats = np.zeros((6, 1))
+    for i, x in enumerate(d):
+        _fold(stats, x, not i)
+    return StatisticSet(*_finish(stats, len(d))[0].tolist())
 
 
 def _as_row(observed) -> list[float]:

@@ -25,9 +25,9 @@ import numpy as np
 
 from .distributions import UNIFORM
 from .errors import CensoringError
-from .gof import STAT_NAMES, _as_row, fold_deviations
-from .reliability import null_survival, product_limit
-from .sampling import Cdf, draw_counts, interval_failure_probs
+from .gof import STAT_NAMES, _as_row, _finish
+from .reliability import _block, _step, null_survival
+from .sampling import Cdf, _binomial, interval_failure_probs
 from .schemes import (
     MAX_N,
     CensoringScheme,
@@ -37,6 +37,7 @@ from .schemes import (
     load_input,
     scheme_fields,
     scheme_id,
+    withdraw_count,
 )
 
 #: Replications per dispatch unit.  Fixed, so the chunk layout never depends
@@ -69,10 +70,14 @@ def _exceedances(compare, bounds, stats) -> np.ndarray:
 
 
 def _statistic_chunk(n, percentages, survival, seed, replications, reduce, probs, start):
-    """Statistics of one model's replications [start, start + CHUNK_SIZE), reduced by ``reduce``."""
-    streams = [derive_stream(seed, start // CHUNK_SIZE, i) if q else None for i, q in enumerate(probs)]
-    counts = draw_counts(n, probs, percentages, streams, min(CHUNK_SIZE, replications - start))
-    stats = fold_deviations(product_limit(n, *counts) - survival)
+    """Statistics of one model's replications [start, start + CHUNK_SIZE), reduced by ``reduce``:
+    interval i draws every row's failures from its stream, none where q_i = 0 (numpy would
+    draw 0 and consume nothing), withdraws by its percentage and takes one :func:`_step`."""
+    at_risk, estimate, stats = _block(n, min(CHUNK_SIZE, replications - start))
+    for i, (q, p, s) in enumerate(zip(probs, percentages, survival)):
+        x = _binomial(derive_stream(seed, start // CHUNK_SIZE, i), at_risk, q) if q else 0
+        _step(at_risk, estimate, stats, x, withdraw_count(p, at_risk - x), s, not i)
+    stats = _finish(stats, len(probs))
     return stats if reduce is None else reduce(stats)
 
 
@@ -90,7 +95,7 @@ def _replicate(scheme, n, models: Sequence[Cdf], seed, replications, workers, re
     chunk = partial(_statistic_chunk, n, scheme.percentages, survival, seed, replications, reduce)
     starts = list(range(0, replications, CHUNK_SIZE))
     probs = [q for q in map(partial(interval_failure_probs, scheme), models) for _ in starts]
-    cpus = os.cpu_count() or 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(as_int(workers, "workers") or cpus, cpus, len(probs))
     with sys.modules[__name__].ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         batched = partial(pool.map, chunksize=math.ceil(len(probs) / (4 * workers))) if pool else map
@@ -115,8 +120,8 @@ def replicated_statistics(
     Samples are drawn from ``model``; the statistics always measure the gap
     to the uniform null at the scheme's inspection times, so the scheme must
     satisfy t_m < 1.  Row order follows the replication index regardless of
-    ``workers`` (0 means one worker per CPU; never more than the CPU count
-    or the number of chunks are started).
+    ``workers`` (0 means one worker per CPU this process may run on; never
+    more than those CPUs or the number of chunks are started).
     """
     [stats], _ = _replicate(scheme, n, [model], seed, replications, workers)
     return stats

@@ -17,21 +17,32 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CensoringError
+from .gof import _fold
 from .schemes import CensoredSample, CensoringScheme, _count_trajectory
 
 
-def product_limit(n: int, failures, removals) -> np.ndarray:
-    """:func:`survival_values` of every row of (rows x m) count arrays, as a view of (m x rows)
-    whose rows, one interval each, are filled in turn.  Unchecked precondition: int64 counts
-    reporting no failure once a row's risk set is empty or negative, as in any life test."""
-    failures, removals = (np.asarray(c, dtype=np.int64) for c in (failures, removals))
-    at_risk = np.full(len(failures), n, dtype=np.int64)
-    estimate = np.ones(len(failures))
-    out = np.empty(failures.shape[::-1])
-    for x, r, row in zip(failures.T, removals.T, out):
-        estimate = np.multiply(estimate, 1.0 - x / np.maximum(at_risk, 1), out=row)
-        at_risk -= x + r
-    return out.T
+def _block(n: int, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``rows`` trajectories of ``n`` units before the first interval, for :func:`_step`:
+    their risk sets (int64), survival estimates and (6 x rows) statistic accumulators."""
+    return np.full(rows, n, dtype=np.int64), np.ones(rows), np.zeros((6, rows))
+
+
+def _step(at_risk, estimate, stats, x, r, survival, first: bool) -> np.ndarray:
+    """Advance a :func:`_block` by one interval in place, given its failures ``x`` and removals
+    ``r``, and fold d = estimate - ``survival`` into ``stats`` by :func:`picgof.gof._fold`; returns
+    d.  Unchecked precondition: no failure once a row's risk set is empty or negative."""
+    np.multiply(estimate, 1.0 - x / np.maximum(at_risk, 1), out=estimate)
+    at_risk -= x + r
+    d = estimate - survival
+    _fold(stats, d, first)
+    return d
+
+
+def _trajectory(n: int, failures, removals, survival) -> np.ndarray:
+    """The deviations from ``survival`` of one trajectory's estimates, one per interval."""
+    block = _block(n, 1)
+    return np.array([_step(*block, x, r, s, not i)[0]
+                     for i, (x, r, s) in enumerate(zip(failures, removals, survival))])
 
 
 def survival_values(n: int, failures: Sequence[int], removals: Sequence[int]) -> list[float]:
@@ -42,7 +53,7 @@ def survival_values(n: int, failures: Sequence[int], removals: Sequence[int]) ->
     failure count, no more failures than units at risk and no more removals than survivors
     at any inspection.  Units may still be on test after the last count."""
     n, failures, removals, _ = _count_trajectory(n, failures, removals)
-    return product_limit(n, [failures], [removals])[0].tolist()
+    return _trajectory(n, failures, removals, np.zeros(len(failures))).tolist()
 
 
 def null_survival(scheme: CensoringScheme, null_cdf: Callable[[float], float]) -> np.ndarray:
@@ -59,4 +70,4 @@ def deviations(sample: CensoredSample, null_cdf: Callable[[float], float]) -> tu
     """Estimated minus hypothesized survival at each inspection time; ``null_cdf``
     must leave positive survival at the final one (see :func:`null_survival`)."""
     null = null_survival(sample.scheme, null_cdf)
-    return tuple((product_limit(sample.n, [sample.failures], [sample.removals])[0] - null).tolist())
+    return tuple(_trajectory(sample.n, sample.failures, sample.removals, null).tolist())

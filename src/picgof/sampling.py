@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -178,44 +178,18 @@ def _binomial(rng: np.random.Generator, at_risk: np.ndarray, q: float) -> np.nda
     return rng.binomial(at_risk, q)
 
 
-def draw_counts(
-    n: int,
-    probs: tuple[float, ...],
-    percentages: tuple[float, ...],
-    streams: Sequence[np.random.Generator | None],
-    rows: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Failure and removal counts of ``rows`` trajectories, as (rows x m) int64 arrays.
-
-    Both are views of (m x rows) arrays: interval i draws the failures of every
-    row into one contiguous row with one array binomial from ``streams[i]``,
-    unless q_i = 0, where numpy would draw 0 and consume nothing, so that
-    ``streams[i]`` is never used and may be None.  The array binomial is
-    :func:`_binomial`: numpy's values and stream position, looked up in cached
-    inversion tables where that is exact.  An empty risk set draws nothing.
-    The same generator passed for every interval with ``rows`` = 1 is
-    consumed in interval order.
-    """
-    failures = np.empty((len(probs), rows), dtype=np.int64)
-    removals = np.empty((len(probs), rows), dtype=np.int64)
-    at_risk = np.full(rows, n, dtype=np.int64)
-    for q, p, rng, x, r in zip(probs, percentages, streams, failures, removals):
-        x[...] = _binomial(rng, at_risk, q) if q else 0
-        at_risk -= x
-        r[...] = withdraw_count(p, at_risk)
-        at_risk -= r
-    return failures.T, removals.T
-
-
 def simulate_sample(
     scheme: CensoringScheme, n: int, cdf: Cdf, rng: np.random.Generator
 ) -> CensoredSample:
     """Simulate one censored sample of ``n`` units from ``cdf`` under ``scheme``.
 
-    The draw consumes ``rng`` sequentially, so the same generator state and
-    arguments always reproduce the same sample.
+    The draw consumes ``rng`` sequentially, one binomial per interval with q_i > 0, so
+    the same generator state and arguments always reproduce the same sample.
     """
     n = as_int(n, "sample size", 1, MAX_N)
-    probs = interval_failure_probs(scheme, cdf)
-    failures, removals = draw_counts(n, probs, scheme.percentages, [rng] * len(probs), 1)
-    return CensoredSample(scheme, n, tuple(failures[0].tolist()), tuple(removals[0].tolist()))
+    failures, removals, at_risk = [], [], n
+    for q, p in zip(interval_failure_probs(scheme, cdf), scheme.percentages):
+        failures.append(int(rng.binomial(at_risk, q)) if q else 0)
+        removals.append(withdraw_count(p, at_risk - failures[-1]))
+        at_risk -= failures[-1] + removals[-1]
+    return CensoredSample(scheme, n, tuple(failures), tuple(removals))

@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import picgof as pg
-from picgof.gof import fold_deviations
+from picgof.gof import _finish, _fold
 from picgof.montecarlo import CriticalValueTable
 from strategies import deviation_matrices, deviation_vectors
 
@@ -30,13 +30,23 @@ def float_bits(values):
     return [float(v).hex() for v in values]
 
 
+def step_fold(d):
+    """The (rows x 6) statistics of a (rows x m) deviation array, folded one interval (column)
+    at a time by the engine step's fold."""
+    d = np.asarray(d, dtype=float)
+    stats = np.zeros((6, len(d)))
+    for i, x in enumerate(d.T):
+        _fold(stats, x, not i)
+    return _finish(stats, d.shape[1])
+
+
 class TestFoldDeviations:
     @given(deviation_matrices())
     @example([[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0]])  # all-zero deviations
     @example([[0.0, -0.0], [-0.0, 0.0]])  # equal maxima of opposite sign
     @example([[0.4], [-0.3]])  # a single column
     def test_rows_equal_the_scalar_loop_bit_for_bit(self, d):
-        out = fold_deviations(d)
+        out = step_fold(d)
         assert out.shape == (len(d), 6)
         for row, dev in zip(out, d):
             assert float_bits(row) == float_bits(reference_fold(dev))
@@ -47,12 +57,13 @@ class TestFoldDeviations:
     @given(deviation_matrices())
     @example([[0.0, -0.0], [-0.0, 0.0]])
     def test_memory_layout_does_not_change_the_bits(self, d):
-        # the engine passes the transposed view of an interval-major array; callers pass lists
-        expected = fold_deviations(d)
+        # a block's intervals are columns of any layout, strided ones included; one-row
+        # slices fold as their own block
+        expected = step_fold(d)
         for layout in (np.ascontiguousarray, np.asfortranarray, lambda a: np.repeat(a, 2, 0)[::2]):
-            assert fold_deviations(layout(np.array(d))).tobytes() == expected.tobytes()
+            assert step_fold(layout(np.array(d))).tobytes() == expected.tobytes()
         for i, row in enumerate(d):
-            assert fold_deviations([row]).tobytes() == expected[i : i + 1].tobytes()
+            assert step_fold([row]).tobytes() == expected[i : i + 1].tobytes()
 
 
 class TestComputeStatistics:

@@ -106,16 +106,38 @@ class TestReplicatedStatistics:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(pg.montecarlo, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(pg.montecarlo.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(pg.montecarlo.os, "sched_getaffinity", lambda _: {0, 1}, raising=False)
         replications = 5 * pg.montecarlo.CHUNK_SIZE
         rows = pg.replicated_statistics(SCHEME, 15, pg.UNIFORM, 5, replications, workers=10**6)
         assert started == [2]
         serial = pg.replicated_statistics(SCHEME, 15, pg.UNIFORM, 5, replications, workers=1)
         assert np.array_equal(rows, serial)
 
+    def test_pool_counts_only_the_cpus_this_process_may_run_on(self, monkeypatch):
+        # a four-CPU machine whose affinity mask leaves this process one CPU runs every
+        # worker count inline
+        def no_pool(max_workers):
+            raise AssertionError(f"a pool of {max_workers} workers was started")
+
+        monkeypatch.setattr(pg.montecarlo, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(pg.montecarlo.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(pg.montecarlo.os, "sched_getaffinity", lambda _: {0}, raising=False)
+        replications = 3 * pg.montecarlo.CHUNK_SIZE
+        serial = pg.replicated_statistics(SCHEME, 15, pg.UNIFORM, 5, replications, workers=1)
+        for workers in (0, 2):
+            rows = pg.replicated_statistics(SCHEME, 15, pg.UNIFORM, 5, replications, workers)
+            assert np.array_equal(rows, serial)
+
     def test_rows_depend_only_on_replication_index(self, null_stats):
         head = pg.replicated_statistics(SCHEME, 15, pg.UNIFORM, seed=5, replications=100)
         assert np.array_equal(head, null_stats[:100])
+
+    def test_chunks_are_reassembled_in_index_order(self):
+        # four chunks, three of them full, so that full chunks out of order would still fit
+        replications = 3 * pg.montecarlo.CHUNK_SIZE + 5
+        rows = pg.replicated_statistics(SCHEME, 15, pg.UNIFORM, seed=5, replications=replications)
+        expected = reference_rows(SCHEME, 15, pg.UNIFORM, seed=5, replications=replications)
+        assert [tuple(row) for row in rows] == expected
 
     def test_rows_match_composed_pipeline(self, null_stats):
         # the engine and a one-row-at-a-time reference, fed from the same
@@ -223,7 +245,7 @@ class TestCriticalValues:
         def no_draws(*args):
             raise AssertionError("counts were drawn")
 
-        monkeypatch.setattr(pg.montecarlo, "draw_counts", no_draws)
+        monkeypatch.setattr(pg.montecarlo, "_binomial", no_draws)
         with pytest.raises(pg.CensoringError, match="seed must be an integer"):
             pg.critical_values(SCHEME, 10, replications=10, seed=seed)
 
@@ -465,7 +487,7 @@ class TestPowerCurve:
                 return super().map(fn, *iterables, chunksize=chunksize)
 
         monkeypatch.setattr(pg.montecarlo, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(pg.montecarlo.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(pg.montecarlo.os, "sched_getaffinity", lambda _: {0, 1}, raising=False)
         models = [pg.AlternativeFamily("lehmann", 2.0), pg.AlternativeFamily("centered", 2.0),
                   pg.AlternativeFamily("compressed", 0.3)]
         replications = 3 * pg.montecarlo.CHUNK_SIZE - 5

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, example, given
 
 import picgof as pg
-from picgof.reliability import product_limit
+from picgof.gof import _finish
+from picgof.reliability import _block, _step
 from strategies import count_matrices, families, no_removal_samples, samples
 
 
@@ -32,6 +33,18 @@ def reference_survival_values(n, failures, removals):
 
 def float_bits(values):
     return [float(v).hex() for v in values]
+
+
+def step_estimates(n, failures, removals):
+    """The (rows x m) survival estimates of (rows x m) count arrays, a block advanced one
+    interval (column) at a time by the engine step."""
+    failures, removals = (np.asarray(c, dtype=np.int64) for c in (failures, removals))
+    at_risk, estimate, stats = _block(n, len(failures))
+    out = np.empty(failures.shape[::-1])
+    for i, (x, r, row) in enumerate(zip(failures.T, removals.T, out)):
+        _step(at_risk, estimate, stats, x, r, 0.0, not i)
+        row[...] = estimate
+    return out.T
 
 
 def make_sample(times, pct, n, failures, removals):
@@ -124,7 +137,7 @@ class TestProductLimit:
     @example((2**53 - 1, [[3, 2**53 - 6]] * 2, [[1, 1]] * 2))
     def test_rows_equal_the_scalar_loop_bit_for_bit(self, counts):
         n, failures, removals = counts
-        out = product_limit(n, failures, removals)
+        out = step_estimates(n, failures, removals)
         assert out.shape == (len(failures), len(failures[0]))
         for row, x, r in zip(out, failures, removals):
             assert float_bits(row) == float_bits(reference_survival_values(n, x, r))
@@ -139,14 +152,30 @@ class TestProductLimit:
     @given(count_matrices())
     @example((10, [[4, 0], [10, 0]], [[6, 0], [0, 0]]))  # risk sets exhausted after 1
     def test_memory_layout_does_not_change_the_bits(self, counts):
-        # the engine passes transposed views of interval-major arrays; callers pass lists
+        # a block's intervals are columns of any layout, strided ones included; one-row
+        # slices advance as their own block
         n, failures, removals = counts
-        expected = product_limit(n, failures, removals)
+        expected = step_estimates(n, failures, removals)
         for layout in (np.ascontiguousarray, np.asfortranarray, lambda c: np.repeat(c, 2, 0)[::2]):
             f, r = (layout(np.array(c, dtype=np.int64)) for c in (failures, removals))
-            assert product_limit(n, f, r).tobytes() == expected.tobytes()
+            assert step_estimates(n, f, r).tobytes() == expected.tobytes()
         for i, (x, r) in enumerate(zip(failures, removals)):
-            assert product_limit(n, [x], [r]).tobytes() == expected[i : i + 1].tobytes()
+            assert step_estimates(n, [x], [r]).tobytes() == expected[i : i + 1].tobytes()
+
+    @given(count_matrices())
+    @example((10, [[4, 0], [10, 0]], [[6, 0], [0, 0]]))  # risk sets exhausted after 1
+    @example((5, [[1, 0, 0]], [[6, 0, 0]]))  # a negative risk set
+    def test_block_folds_the_deviations_as_compute_statistics(self, counts):
+        n, failures, removals = counts
+        m = len(failures[0])
+        survival = np.linspace(0.9, 0.1, m)
+        block = _block(n, len(failures))
+        f, r = (np.array(c, dtype=np.int64) for c in (failures, removals))
+        for i in range(m):
+            _step(*block, f[:, i], r[:, i], survival[i], not i)
+        for row, x, removed in zip(_finish(block[2], m), failures, removals):
+            d = [e - s for e, s in zip(reference_survival_values(n, x, removed), survival)]
+            assert float_bits(row) == float_bits(pg.compute_statistics(d))
 
 
 class TestDeviations:

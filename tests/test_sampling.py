@@ -82,7 +82,7 @@ class TestWithdrawCount:
     @example(MAX_N - 1)
     def test_never_withdraws_more_than_survive(self, survivors):
         # every survivor count is an exact float, so the full percentage withdraws
-        # exactly the survivors; draw_counts relies on it to empty the risk set at
+        # exactly the survivors; the engine relies on it to empty the risk set at
         # the last inspection, whose percentage every scheme fixes at 1.0
         assert withdraw_count(1.0, survivors) == survivors
         counts = withdraw_count(1.0, np.array([survivors], dtype=np.int64))
