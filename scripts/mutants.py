@@ -11,9 +11,9 @@ mutant, it applies the edit to a fresh temporary copy, runs only the named modul
 example database), and prints ``killed`` or ``survived`` with the time taken.  It exits
 1 if any mutant survives, if an edit no longer applies, or if a run ends in anything
 but passing or failing tests.  The mutants cover the engine's interval step, the
-cached-table binomial sampler, the withdrawal rule and the chunk and stream layout, so
-that a later change cannot weaken the tests that hold their bits, counts and stream
-positions unnoticed.
+cached-table binomial sampler, the withdrawal rule and the block, chunk and stream
+layout, so that a later change cannot weaken the tests that hold their bits, counts and
+stream positions unnoticed.  The gate takes about 90 s on 2 CPUs.
 """
 
 from __future__ import annotations
@@ -46,8 +46,11 @@ MUTANTS = [
            "margin = np.arange(width) * 0.0", ("tests/test_sampling.py",)),
     Mutant("math.log(1 - p) for log1p", SAMPLING, "(n * math.log1p(-p))",
            "(n * math.log(1 - p))", ("tests/test_sampling.py",)),
-    Mutant("no stream state restore", SAMPLING, "        rng.bit_generator.state = state\n",
-           "", ("tests/test_sampling.py",)),
+    Mutant("refused lookup redrawn without restarting its stream", MONTECARLO,
+           "        key[1], counter[3] = c, i\n        rng.bit_generator.state = state\n",
+           "        if (key[1], counter[3]) != (c, i):\n"
+           "            key[1], counter[3] = c, i\n            rng.bit_generator.state = state\n",
+           ("tests/test_montecarlo.py",)),
     Mutant("flip at q = 1/2 moved", SAMPLING, "counts[live] = n - x if q > 0.5 else x",
            "counts[live] = n - x if q >= 0.5 else x", ("tests/test_sampling.py",)),
     Mutant("bound one column too far", SAMPLING, "cum[np.arange(width) > bound[:, None] + 1]",
@@ -61,11 +64,19 @@ MUTANTS = [
     Mutant("withdraw_count without its +1e-9", SCHEMES,
            "np.asarray(survivors, dtype=np.int64) + 1e-9)",
            "np.asarray(survivors, dtype=np.int64))", ("tests/test_sampling.py",)),
-    Mutant("_replicate reassembling chunks out of order", MONTECARLO,
-           "zip(starts, parts)", "zip(starts[-2::-1] + starts[-1:], parts)",  # full chunks reversed
-           ("tests/test_montecarlo.py",)),
+    Mutant("_replicate reassembling blocks out of order", MONTECARLO,
+           "zip(blocks, parts)", "zip(blocks[::-1], parts)", ("tests/test_montecarlo.py",)),
     Mutant("derive_stream keyed without its interval", MONTECARLO,
            "counter=[0, 0, 0, interval]", "counter=[0, 0, 0, 0]", ("tests/test_montecarlo.py",)),
+    Mutant("every chunk of a block drawn from its first chunk's stream", MONTECARLO,
+           "stream(chunks[k], i)", "stream(chunks.start, i)", ("tests/test_montecarlo.py",)),
+    Mutant("re-key leaving the interval word unset", MONTECARLO,
+           "key[1], counter[3] = c, i", "key[1] = c", ("tests/test_montecarlo.py",)),
+    Mutant("a block's uniforms concatenated in reverse chunk order", SAMPLING,
+           "for k, part in enumerate(parts)])\n        x = _invert",
+           "for k, part in enumerate(parts)][::-1])\n        x = _invert", ("tests/test_sampling.py",)),
+    Mutant("blocks over the 16-chunk cap", MONTECARLO,
+           "max(math.ceil(chunks / _BLOCK_CHUNKS), ", "max(1, ", ("tests/test_montecarlo.py",)),
 ]
 
 

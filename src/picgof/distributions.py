@@ -125,7 +125,7 @@ class AlternativeFamily:
             return 0.0
         if x > 1.0 - p:
             return 1.0
-        return (x - p) / (1.0 - 2.0 * p)
+        return min((x - p) / (1.0 - 2.0 * p), 1.0)  # (x - g) rounds above 1 - 2g at x = 1 - g
 
 
 UNIFORM = AlternativeFamily("uniform")

@@ -1,13 +1,15 @@
 """Monte Carlo calibration: null critical values, p-values and power estimates.
 
-Replications run in chunks of CHUNK_SIZE.  Chunk c draws interval i of all
-its replications with one array binomial from the Philox stream keyed by
-(master seed, c), with i in the counter's high word.  That binomial returns
+Replications run in chunks of CHUNK_SIZE, the stream unit.  Chunk c draws
+interval i of all its replications from the Philox stream keyed by
+(master seed, c), with i in the counter's high word.  Its binomials are
 numpy's ``Generator.binomial`` values, mostly looked up in inversion tables
 that each process caches (see :func:`picgof.sampling._binomial`); the cache
-changes speed, never a value.  Chunks are reassembled in index order, so
-every result is a pure function of (scheme, n, model, seed, B): running with
-1, 4 or 8 worker processes yields bit-identical outputs.
+changes speed, never a value.  A block, the dispatch unit, is a run of one
+model's consecutive chunks that advance together, one array step per interval,
+each chunk still drawing from its own stream.  Blocks are reassembled in index
+order, so every result is a pure function of (scheme, n, model, seed, B):
+running with 1, 4 or 8 worker processes yields bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -40,9 +42,11 @@ from .schemes import (
     withdraw_count,
 )
 
-#: Replications per dispatch unit.  Fixed, so the chunk layout never depends
-#: on the worker count.
+#: Replications per chunk, the stream unit.  Fixed, so every row's stream never
+#: depends on the worker count.
 CHUNK_SIZE = 2048
+#: Most chunks in a block, the dispatch unit (32,768 rows), which bounds a task's memory.
+_BLOCK_CHUNKS = 16
 
 TABLE_CSV_HEADER = ",".join(("scheme_id", "n", "level", "B", "seed", *STAT_NAMES))
 
@@ -69,22 +73,41 @@ def _exceedances(compare, bounds, stats) -> np.ndarray:
     return np.count_nonzero(compare(stats, bounds), axis=0)
 
 
-def _statistic_chunk(n, percentages, survival, seed, replications, reduce, probs, start):
-    """Statistics of one model's replications [start, start + CHUNK_SIZE), reduced by ``reduce``:
-    interval i draws every row's failures from its stream, none where q_i = 0 (numpy would
-    draw 0 and consume nothing), withdraws by its percentage and takes one :func:`_step`."""
-    at_risk, estimate, stats = _block(n, min(CHUNK_SIZE, replications - start))
+def _rekeyed(seed: int, first: int):
+    """``stream(c, i)``: the generator of :func:`derive_stream` (seed, c, i) at its start, made
+    by re-keying one Philox through its state rather than building one per (chunk, interval)."""
+    rng = derive_stream(seed, first)
+    state = rng.bit_generator.state
+    key, counter = state["state"]["key"], state["state"]["counter"]
+
+    def stream(c: int, i: int) -> np.random.Generator:
+        key[1], counter[3] = c, i
+        rng.bit_generator.state = state
+        return rng
+
+    return stream
+
+
+def _statistic_block(n, percentages, survival, seed, replications, reduce, probs, chunks):
+    """Statistics of one model's replications in the chunks of the range ``chunks``, reduced
+    by ``reduce``: interval i draws each chunk c's failures from stream (seed, c, i), none where
+    q_i = 0 (numpy would draw 0 and consume nothing), withdraws by its percentage and takes
+    one :func:`_step` over the whole block."""
+    start = chunks.start * CHUNK_SIZE
+    at_risk, estimate, stats = _block(n, min(chunks.stop * CHUNK_SIZE, replications) - start)
+    stream = _rekeyed(seed, chunks.start)
     for i, (q, p, s) in enumerate(zip(probs, percentages, survival)):
-        x = _binomial(derive_stream(seed, start // CHUNK_SIZE, i), at_risk, q) if q else 0
+        x = _binomial(lambda k: stream(chunks[k], i), at_risk, q, CHUNK_SIZE) if q else 0
         _step(at_risk, estimate, stats, x, withdraw_count(p, at_risk - x), s, not i)
     stats = _finish(stats, len(probs))
     return stats if reduce is None else reduce(stats)
 
 
 def _replicate(scheme, n, models: Sequence[Cdf], seed, replications, workers, reduce=None):
-    """Per model, its summed ``reduce`` counts, all (model x chunk) tasks batched over one
+    """Per model, its summed ``reduce`` counts, all (model x block) tasks batched over one
     worker pool; without ``reduce``, ``[rows]``, the :func:`replicated_statistics` of one model.
-    Returned with the B it validated, an ``int``."""
+    Returned with the B it validated, an ``int``.  Each model's chunks split into the fewest
+    near-equal blocks of at most _BLOCK_CHUNKS that leave every worker a task."""
     n = as_int(n, "sample size", 1, MAX_N)
     replications = as_int(replications, "replications", 1)
     survival = null_survival(scheme, UNIFORM)
@@ -92,18 +115,22 @@ def _replicate(scheme, n, models: Sequence[Cdf], seed, replications, workers, re
         stats = np.empty((replications, len(STAT_NAMES)))
     except (MemoryError, ValueError):
         raise CensoringError(f"{replications} replications do not fit in memory") from None
-    chunk = partial(_statistic_chunk, n, scheme.percentages, survival, seed, replications, reduce)
-    starts = list(range(0, replications, CHUNK_SIZE))
-    probs = [q for q in map(partial(interval_failure_probs, scheme), models) for _ in starts]
+    probs = [interval_failure_probs(scheme, model) for model in models]
+    chunks = math.ceil(replications / CHUNK_SIZE)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(as_int(workers, "workers") or cpus, cpus, len(probs))
+    workers = min(as_int(workers, "workers") or cpus, cpus, len(models) * chunks)
+    seed = as_int(seed, "seed", 0, 2**64)
+    runs = max(math.ceil(chunks / _BLOCK_CHUNKS), math.ceil(workers / len(models)))
+    blocks = [range(k * chunks // runs, (k + 1) * chunks // runs) for k in range(runs)]
+    probs = [q for q in probs for _ in blocks]
+    block = partial(_statistic_block, n, scheme.percentages, survival, seed, replications, reduce)
     with sys.modules[__name__].ProcessPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
         batched = partial(pool.map, chunksize=math.ceil(len(probs) / (4 * workers))) if pool else map
-        parts = batched(chunk, probs, starts * len(models))
+        parts = batched(block, probs, blocks * len(models))
         if reduce is not None:
-            return [sum(next(parts) for _ in starts) for _ in models], replications
-        for start, part in zip(starts, parts):
-            stats[start : start + CHUNK_SIZE] = part
+            return [sum(next(parts) for _ in blocks) for _ in models], replications
+        for span, part in zip(blocks, parts):
+            stats[span.start * CHUNK_SIZE : span.stop * CHUNK_SIZE] = part
     return [stats], replications
 
 

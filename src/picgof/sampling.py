@@ -150,32 +150,35 @@ def _invert(u: np.ndarray, n: np.ndarray, table: tuple) -> np.ndarray | None:
     return None
 
 
-def _binomial(rng: np.random.Generator, at_risk: np.ndarray, q: float) -> np.ndarray:
-    """``rng.binomial(at_risk, q)`` for an int64 array, leaving ``rng`` where numpy would.
+def _binomial(stream: Callable[[int], np.random.Generator], at_risk: np.ndarray, q: float,
+              size: int) -> np.ndarray:
+    """``stream(k).binomial(part, q)`` for each part k of ``size`` rows of an int64 array (the
+    last may be shorter), concatenated, where ``stream(k)`` returns part k's generator at the
+    start of its stream each time; each stream is left where that draw leaves it.
 
     numpy 2.4.6 draws a row with n > 0 and np <= 30, where p = min(q, 1 - q), by
     inversion: from one uniform u, x is the first count with
-    u - px_0 - ... - px_{x-1} <= px_x, and a draw at q > 1/2 is n - x.  Here
-    the rows look their u up in a cached table of the same px's running sums
-    c instead (:func:`_invert`).  Rounding moves numpy's subtraction chain and
-    the sums apart by under 1.5 x * 2**-53, so where u lies more than
+    u - px_0 - ... - px_{x-1} <= px_x, and a draw at q > 1/2 is n - x.  Here one
+    table serves every part: the uniforms of each part's live rows, drawn from its
+    own stream, are looked up together in a cached table of the same px's running
+    sums c (:func:`_invert`).  Rounding moves numpy's subtraction chain and the
+    sums apart by under 1.5 x * 2**-53, so where u lies more than
     4(x + 1) * 2**-53 from c_x and c_{x-1}, numpy's loop stops at x too.
-    Otherwise, and wherever :func:`_table` gives no table, numpy draws from the
-    saved state.  The cache changes speed, never a value.
+    Otherwise, and wherever :func:`_table` gives no table, numpy draws each part
+    from the start of its stream.  The cache changes speed, never a value.
     """
+    parts = [at_risk[s : s + size] for s in range(0, len(at_risk), size)]
     live = np.flatnonzero(at_risk)
     n = at_risk[live]
     table = _table(1.0 - q if q > 0.5 else q, n) if 0.0 < q <= 1.0 and live.size else None
     if table is not None:
-        state = rng.bit_generator.state
-        u = rng.random(live.size)
+        u = np.concatenate([stream(k).random(np.count_nonzero(part)) for k, part in enumerate(parts)])
         x = _invert(u, n, table)
         if x is not None:
             counts = np.zeros_like(at_risk)
             counts[live] = n - x if q > 0.5 else x
             return counts
-        rng.bit_generator.state = state
-    return rng.binomial(at_risk, q)
+    return np.concatenate([stream(k).binomial(part, q) for k, part in enumerate(parts)])
 
 
 def simulate_sample(

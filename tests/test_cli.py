@@ -203,6 +203,30 @@ class TestPowerCommands:
         obj = json.loads(out)
         assert len(obj["points"]) == 17
 
+    def test_power_curve_where_compressed_reaches_one_at_an_inspection(self, capsys, tmp_path):
+        # compressed:0.2 is 1 at t = 0.8, so F(0.8) and F(0.9) are equal, not decreasing
+        scheme = tmp_path / "scheme.json"
+        scheme.write_text('{"times": [0.0, 0.4, 0.8, 0.9], "percentages": [0.2, 0.2, 1.0]}')
+        table = tmp_path / "cv.csv"
+        args = ["--scheme", str(scheme), "--n", "20", "--B", "200"]
+        assert run(capsys, "critical-values", *args, "--out", str(table))[0] == 0
+        code, out, err = run(capsys, "power-curve", *args, "--family", "compressed",
+                             "--critical", str(table), "--format", "json")
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["points"]) == 17
+
+    def test_bad_seed_is_data_error_where_no_interval_draws(self, capsys, tmp_path):
+        # compressed:0.45 is 0 at every inspection, so no chunk draws a binomial
+        scheme = tmp_path / "scheme.json"
+        scheme.write_text('{"times": [0.0, 0.1, 0.2, 0.3], "percentages": [0.3, 0.3, 1.0]}')
+        table = tmp_path / "cv.csv"
+        args = ["--scheme", str(scheme), "--n", "10", "--B", "50"]
+        assert run(capsys, "critical-values", *args, "--out", str(table))[0] == 0
+        code, out, err = run(capsys, "power", *args, "--alt", "compressed:0.45",
+                             "--critical", str(table), "--seed", "-3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: seed must be an integer") and err.count("\n") == 1
+
     def test_mismatched_table_is_data_error(self, capsys, table_path):
         code, _, err = run(
             capsys, "power", "--scheme", "t2p1", "--n", "15",

@@ -52,6 +52,14 @@ class TestFamilies:
         assert fam(0.75) == 1.0
         assert fam(0.8) == 1.0
 
+    @pytest.mark.parametrize("g", [0.2, 0.45, *pg.DEFAULT_PARAMETER_GRIDS["compressed"]])
+    def test_compressed_never_exceeds_one(self, g):
+        # x - g rounds above 1 - 2g at x = 1 - g for g = 0.2 and 0.45, and for the
+        # grid's 0.075 and 0.325
+        fam = pg.AlternativeFamily("compressed", g)
+        values = [fam(1.0 - g), *(fam(float(x)) for x in np.linspace(0.0, 1.0, 1001))]
+        assert max(values) == 1.0
+
     def test_null_members_equal_uniform_exactly(self):
         members = [
             pg.AlternativeFamily("lehmann", 1.0),

@@ -28,25 +28,31 @@ def null_stats():
     return pg.replicated_statistics(SCHEME, 15, pg.UNIFORM, seed=5, replications=3000)
 
 
-def reference_rows(scheme, n, model, seed, replications):
-    """Statistics of each replication, drawn one row at a time: row r of chunk
-    c takes one scalar binomial per interval i from derive_stream(seed, c, i)."""
+def reference_chunk(scheme, n, model, seed, replications, chunk):
+    """Statistics of chunk ``chunk``'s replications, drawn one row at a time: each
+    row takes one scalar binomial per interval i from derive_stream(seed, chunk, i)."""
     probs = interval_failure_probs(scheme, model)
     last = len(probs) - 1
+    size = pg.montecarlo.CHUNK_SIZE
+    streams = [pg.derive_stream(seed, chunk, i) for i in range(len(probs))]
     rows = []
-    for chunk in range(math.ceil(replications / pg.montecarlo.CHUNK_SIZE)):
-        streams = [pg.derive_stream(seed, chunk, i) for i in range(len(probs))]
-        for _ in range(min(pg.montecarlo.CHUNK_SIZE, replications - len(rows))):
-            failures, removals, at_risk = [], [], n
-            for i, (q, rng) in enumerate(zip(probs, streams)):
-                x = int(rng.binomial(at_risk, q)) if at_risk > 0 else 0
-                r = at_risk - x if i == last else withdraw_count(scheme.percentages[i], at_risk - x)
-                failures.append(x)
-                removals.append(r)
-                at_risk -= x + r
-            sample = pg.CensoredSample(scheme, n, tuple(failures), tuple(removals))
-            rows.append(pg.compute_statistics(pg.deviations(sample, pg.UNIFORM)).as_tuple())
+    for _ in range(min(size, replications - chunk * size)):
+        failures, removals, at_risk = [], [], n
+        for i, (q, rng) in enumerate(zip(probs, streams)):
+            x = int(rng.binomial(at_risk, q)) if at_risk > 0 else 0
+            r = at_risk - x if i == last else withdraw_count(scheme.percentages[i], at_risk - x)
+            failures.append(x)
+            removals.append(r)
+            at_risk -= x + r
+        sample = pg.CensoredSample(scheme, n, tuple(failures), tuple(removals))
+        rows.append(pg.compute_statistics(pg.deviations(sample, pg.UNIFORM)).as_tuple())
     return rows
+
+
+def reference_rows(scheme, n, model, seed, replications):
+    """Statistics of each replication, chunk after chunk, as :func:`reference_chunk` draws them."""
+    chunks = range(math.ceil(replications / pg.montecarlo.CHUNK_SIZE))
+    return [row for c in chunks for row in reference_chunk(scheme, n, model, seed, replications, c)]
 
 
 class TestDeriveStream:
@@ -164,18 +170,24 @@ class TestReplicatedStatistics:
     def test_rows_match_composed_pipeline_where_q_is_zero_or_one(self, scheme, g, probs, monkeypatch):
         model = pg.AlternativeFamily("compressed", g)
         assert interval_failure_probs(scheme, model) == pytest.approx(probs, rel=1e-12, abs=0.0)
-        derived = []
+        rekeyed = []
+        original = pg.montecarlo._rekeyed
 
-        def derive(*key):
-            derived.append(key)
-            return pg.derive_stream(*key)
+        def rekey(seed, first):
+            stream = original(seed, first)
 
-        monkeypatch.setattr(pg.montecarlo, "derive_stream", derive)
+            def recorded(c, i):
+                rekeyed.append((seed, c, i))
+                return stream(c, i)
+
+            return recorded
+
+        monkeypatch.setattr(pg.montecarlo, "_rekeyed", rekey)
         stats = pg.replicated_statistics(scheme, 15, model, seed=9, replications=2049)
         expected = reference_rows(scheme, 15, model, seed=9, replications=2049)
         assert [tuple(row) for row in stats] == expected
-        # an interval with q = 0 draws nothing, so no stream is derived for it
-        assert sorted(derived) == [(9, c, i) for c in (0, 1) for i, q in enumerate(probs) if q]
+        # an interval with q = 0 draws nothing, so no stream is re-keyed for it
+        assert sorted(rekeyed) == [(9, c, i) for c in (0, 1) for i, q in enumerate(probs) if q]
 
     def test_seeds_above_2_to_the_63_give_their_own_rows(self):
         def rows(seed):
@@ -209,6 +221,72 @@ class TestReplicatedStatistics:
     def test_rejects_a_seed_that_is_not_an_integer(self, seed):
         with pytest.raises(pg.CensoringError, match="seed must be an integer"):
             pg.replicated_statistics(SCHEME, 10, pg.UNIFORM, seed, replications=10)
+
+
+class TestBlocks:
+    """A block advances one model's consecutive chunks together, each drawing from its own stream."""
+
+    @staticmethod
+    def record_blocks(monkeypatch):
+        """The first chunk of every block this process advances, in order."""
+        firsts, rekeyed = [], pg.montecarlo._rekeyed
+        monkeypatch.setattr(pg.montecarlo, "_rekeyed",
+                            lambda seed, first: firsts.append(first) or rekeyed(seed, first))
+        return firsts
+
+    def test_rows_across_the_block_cap_match_reference_chunks(self, monkeypatch):
+        # 18 chunks, the last of 5 rows: over the 16-chunk cap, so two blocks of 9 chunks
+        size = pg.montecarlo.CHUNK_SIZE
+        replications = 17 * size + 5
+        firsts = self.record_blocks(monkeypatch)
+        rows = pg.replicated_statistics(SCHEME, 15, pg.UNIFORM, seed=5, replications=replications)
+        assert pg.montecarlo._BLOCK_CHUNKS == 16 and firsts == [0, 9]
+        for c in (0, 1, 8, 9, 17):
+            expected = reference_chunk(SCHEME, 15, pg.UNIFORM, 5, replications, c)
+            assert [tuple(row) for row in rows[c * size : (c + 1) * size]] == expected
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_rekeyed_stream_is_derive_stream(self, seed):
+        stream = pg.montecarlo._rekeyed(seed, 3)
+        # re-keyed after partly used buffers, to a large chunk index and back
+        for c, i in ((3, 0), (2**63 + 5, 7), (4, 2), (3, 0), (2**63 + 5, 7)):
+            rng, twin = stream(c, i), pg.derive_stream(seed, c, i)
+            assert rng.random(5).tobytes() == twin.random(5).tobytes()
+            assert rng.bit_generator.random_raw() == twin.bit_generator.random_raw()
+
+    @pytest.mark.parametrize("chunks", [1, 3])
+    @pytest.mark.parametrize("every", [1, 2])
+    def test_a_refused_lookup_keeps_the_rows(self, chunks, every, monkeypatch):
+        # a lookup refused at every or every other interval: each chunk of the block
+        # draws again with numpy from the start of its own stream
+        replications = chunks * pg.montecarlo.CHUNK_SIZE - 7
+        expected = pg.replicated_statistics(SCHEME, 40, pg.UNIFORM, 3, replications)
+        looked_up, invert = [], pg.sampling._invert
+
+        def refuse(u, n, table):
+            looked_up.append(u.size)
+            return None if len(looked_up) % every == 0 else invert(u, n, table)
+
+        monkeypatch.setattr(pg.sampling, "_invert", refuse)
+        rows = pg.replicated_statistics(SCHEME, 40, pg.UNIFORM, 3, replications)
+        assert len(looked_up) == 3 and rows.tobytes() == expected.tobytes()
+
+    def test_critical_values_at_one_and_two_workers_are_equal(self, monkeypatch):
+        # ten chunks: one block inline, two blocks of five chunks in a pool of two
+        pooled = []
+
+        class RecordingPool(pg.montecarlo.ProcessPoolExecutor):
+            def map(self, fn, *iterables, chunksize=1):
+                pooled.append(iterables[1])
+                return super().map(fn, *iterables, chunksize=chunksize)
+
+        monkeypatch.setattr(pg.montecarlo, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(pg.montecarlo.os, "sched_getaffinity", lambda _: {0, 1}, raising=False)
+        firsts = self.record_blocks(monkeypatch)
+        one = pg.critical_values(SCHEME, 15, replications=20000, seed=8, workers=1)
+        two = pg.critical_values(SCHEME, 15, replications=20000, seed=8, workers=2)
+        assert firsts == [0] and pooled == [[range(5), range(5, 10)]]
+        assert one == two
 
 
 class TestCriticalValues:
@@ -439,6 +517,18 @@ class TestPower:
         with pytest.raises(pg.CensoringError, match="seed must be an integer"):
             pg.power(SCHEME, 15, table, [pg.UNIFORM], replications=10, seed=seed)
 
+    @pytest.mark.parametrize("seed", [*BAD_SEEDS, -3, 2**64])
+    def test_rejects_a_bad_seed_where_no_interval_draws(self, seed):
+        # compressed:0.45 is 0 at every inspection of this design, so no chunk draws
+        early = pg.CensoringScheme((0.0, 0.1, 0.2, 0.3), (0.3, 0.3, 1.0))
+        model = pg.AlternativeFamily("compressed", 0.45)
+        assert interval_failure_probs(early, model) == (0.0, 0.0, 0.0)
+        table = pg.critical_values(early, 10, replications=50, seed=0)
+        with pytest.raises(pg.CensoringError, match="seed must be an integer"):
+            pg.power(early, 10, table, [model], replications=50, seed=seed)
+        with pytest.raises(pg.CensoringError, match="seed must be an integer"):
+            pg.replicated_statistics(early, 10, model, seed, replications=50)
+
     def test_integral_non_int_replications_give_the_int_result(self, table):
         fam = pg.AlternativeFamily("lehmann", 2.0)
         expected = pg.power(SCHEME, 15, table, [fam], replications=100, seed=3)
@@ -478,28 +568,32 @@ class TestPowerCurve:
             assert np.array_equal(row, np.count_nonzero(stats > critical, axis=0) / 2049)
 
     def test_batched_pool_keeps_the_bits(self, table, monkeypatch):
-        # enough (model x chunk) tasks that two workers take them several at a time
-        sizes = []
+        # enough (model x block) tasks that two workers take them several at a time
+        sizes, blocks = [], []
 
         class RecordingPool(pg.montecarlo.ProcessPoolExecutor):
             def map(self, fn, *iterables, chunksize=1):
                 sizes.append(chunksize)
+                blocks.append(iterables[1])
                 return super().map(fn, *iterables, chunksize=chunksize)
 
         monkeypatch.setattr(pg.montecarlo, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(pg.montecarlo.os, "sched_getaffinity", lambda _: {0, 1}, raising=False)
-        models = [pg.AlternativeFamily("lehmann", 2.0), pg.AlternativeFamily("centered", 2.0),
-                  pg.AlternativeFamily("compressed", 0.3)]
+        models = [pg.AlternativeFamily(kind, a) for kind in ("lehmann", "centered")
+                  for a in (0.5, 2.0, 3.0)] + [pg.AlternativeFamily("compressed", g)
+                                               for g in (0.1, 0.2, 0.3)]
         replications = 3 * pg.montecarlo.CHUNK_SIZE - 5
         pooled = pg.power(SCHEME, 15, table, models, replications, seed=2, workers=2)
         serial = pg.power(SCHEME, 15, table, models, replications, seed=2, workers=1)
         for a, b in zip(pooled, serial):
             assert a.tobytes() == b.tobytes()
+        # one model's ten chunks: one block inline, two of five chunks in the pool
         replications = 10 * pg.montecarlo.CHUNK_SIZE - 5
         rows = pg.replicated_statistics(SCHEME, 15, pg.UNIFORM, 5, replications, workers=2)
         serial = pg.replicated_statistics(SCHEME, 15, pg.UNIFORM, 5, replications, workers=1)
         assert rows.tobytes() == serial.tobytes()
-        assert sizes == [2, 2]
+        assert sizes == [2, 1]
+        assert blocks == [[range(3)] * 9, [range(5), range(5, 10)]]
 
     def test_common_random_numbers(self, table):
         twice = [pg.AlternativeFamily("lehmann", 2.0)] * 2

@@ -218,21 +218,38 @@ def _running_sums(n, p):
     return sums
 
 
-def _same_draws(at_risk, q, seed, first=()):
+def _restarting(gens):
+    """A ``stream`` for _binomial over one part per generator of ``gens``: part k's
+    generator, put back where it stood when this was called."""
+    states = [g.bit_generator.state for g in gens]
+
+    def stream(k):
+        gens[k].bit_generator.state = states[k]
+        return gens[k]
+
+    return stream
+
+
+def _same_draws(at_risk, q, seed, first=(), size=None):
     """Whether _binomial and Generator.binomial draw alike from twin streams and
-    leave them at the same next raw 64-bit draw."""
-    a, b = _philox(seed, first), _philox(seed, first)
-    x = sampling._binomial(a, at_risk, q)
-    y = b.binomial(at_risk, q)
+    leave them at the same next raw 64-bit draw: one stream keyed by ``seed``, or
+    given ``size``, one per part of ``size`` rows, keyed by seed, seed + 1, ..."""
+    size = size or len(at_risk)
+    keys = [(seed + k) % 2**64 for k in range(math.ceil(len(at_risk) / size))]
+    mine, twins = [_philox(key, first) for key in keys], [_philox(key, first) for key in keys]
+    x = sampling._binomial(_restarting(mine), at_risk, q, size)
+    parts = np.split(at_risk, range(size, len(at_risk), size))
+    y = np.concatenate([g.binomial(part, q) for g, part in zip(twins, parts)])
     assert x.dtype == y.dtype == np.int64
-    return np.array_equal(x, y) and a.bit_generator.random_raw() == b.bit_generator.random_raw()
+    return np.array_equal(x, y) and all(
+        a.bit_generator.random_raw() == b.bit_generator.random_raw() for a, b in zip(mine, twins))
 
 
 @st.composite
-def risk_sets(draw):
-    """int64 risk-set arrays of 1, 2 or 2048 rows (or up to 64), clustered or
-    spread anywhere in [0, 2**53), with some or all rows empty."""
-    rows = draw(st.sampled_from([1, 2, 2048]) | st.integers(1, 64))
+def risk_sets(draw, rows=None):
+    """int64 risk-set arrays of ``rows`` rows (by default 1, 2 or 2048, or up to 64),
+    clustered or spread anywhere in [0, 2**53), with some or all rows empty."""
+    rows = rows or draw(st.sampled_from([1, 2, 2048]) | st.integers(1, 64))
     top = draw(st.sampled_from([60, 400, 10**6, MAX_N - 1]))
     base = draw(st.integers(0, top))
     spread = draw(st.sampled_from([0, 1, 40, top]))
@@ -241,6 +258,17 @@ def risk_sets(draw):
     at_risk = np.minimum(base + gen.integers(0, spread, rows, endpoint=True), top)
     at_risk[gen.random(rows) < empty] = 0
     return at_risk.astype(np.int64)
+
+
+@st.composite
+def blocks(draw):
+    """(risk sets, part size): two to four parts of one size, the last shorter, with
+    some rows empty in at least one part."""
+    size = draw(st.sampled_from([2, 700, 2048]) | st.integers(2, 40))
+    rows = draw(st.integers(1, 3)) * size + draw(st.integers(1, size - 1))
+    at_risk = draw(risk_sets(rows))
+    at_risk[draw(st.integers(0, rows - 1))] = 0
+    return at_risk, size
 
 
 #: Failure probabilities: anywhere in [0, 1], tiny (np <= 30 even at n near
@@ -272,6 +300,20 @@ class TestTableBinomial:
             sampling._tables.clear()
             assert _same_draws(at_risk, q, seed)
             assert _same_draws(at_risk, q, (seed + 1) % 2**64)
+
+    @settings(max_examples=150, deadline=None)
+    @given(blocks(), failure_probs, st.integers(0, 2**64 - 1))
+    @example((np.full(2 * 2048 + 5, 120), 2048), 0.25, 2)  # three parts drawn from one table
+    @example((np.full(2 * 2048 + 5, 120), 2048), 0.75, 3)  # the same, drawn as n - x
+    @example((np.r_[np.zeros(2048, np.int64), np.full(700, 30)], 2048), 0.1, 4)  # an empty part
+    @example((np.r_[np.full(2048, 30), np.zeros(700, np.int64)], 2048), 0.1, 5)  # an empty last part
+    def test_block_parts_equal_numpy_from_cold_and_warm_cache(self, block, q, seed):
+        # each part, drawn from its own stream, equals numpy on that part alone
+        at_risk, size = block
+        with mock.patch.object(sampling, "_MIN_ROWS", 1):
+            sampling._tables.clear()
+            assert _same_draws(at_risk, q, seed, size=size)
+            assert _same_draws(at_risk, q, (seed + 7) % 2**64, size=size)
 
     def test_engine_chunk_is_drawn_from_a_table(self):
         # a 2048-row interval of the power-sweep kind is looked up, not redrawn
