@@ -11,9 +11,10 @@ mutant, it applies the edit to a fresh temporary copy, runs only the named modul
 example database), and prints ``killed`` or ``survived`` with the time taken.  It exits
 1 if any mutant survives, if an edit no longer applies, or if a run ends in anything
 but passing or failing tests.  The mutants cover the engine's interval step, the
-cached-table binomial sampler, the withdrawal rule and the block, chunk and stream
-layout, so that a later change cannot weaken the tests that hold their bits, counts and
-stream positions unnoticed.  The gate takes about 90 s on 2 CPUs.
+table binomial sampler and the risk sets its tables span, the withdrawal rule, the block,
+chunk and stream layout, the exact rank of a critical value and the input checks on counts
+and reals, so that a later change cannot weaken the tests that hold their bits, counts,
+stream positions and refusals unnoticed.  The gate takes about 2 minutes on 2 CPUs.
 """
 
 from __future__ import annotations
@@ -77,6 +78,14 @@ MUTANTS = [
            "for k, part in enumerate(parts)][::-1])\n        x = _invert", ("tests/test_sampling.py",)),
     Mutant("blocks over the 16-chunk cap", MONTECARLO,
            "max(math.ceil(chunks / _BLOCK_CHUNKS), ", "max(1, ", ("tests/test_montecarlo.py",)),
+    Mutant("table one risk set short of hi", SAMPLING, "_inversion_table(p, lo, hi)\n",
+           "_inversion_table(p, lo, hi - 1)\n", ("tests/test_sampling.py",)),
+    Mutant("rank on the float level", MONTECARLO, "(1 - Fraction(repr(level)))", "(1 - level)",
+           ("tests/test_montecarlo.py",)),
+    Mutant("_count_trajectory allowing more removals than survivors", SCHEMES,
+           "if r > survivors[-1]:", "if r > survivors[-1] + 1:", ("tests/test_schemes.py",)),
+    Mutant("as_real accepting nan", SCHEMES, "math.isfinite(x := float(value))",
+           "not math.isinf(x := float(value))", ("tests/test_schemes.py",)),
 ]
 
 

@@ -3,13 +3,13 @@
 Replications run in chunks of CHUNK_SIZE, the stream unit.  Chunk c draws
 interval i of all its replications from the Philox stream keyed by
 (master seed, c), with i in the counter's high word.  Its binomials are
-numpy's ``Generator.binomial`` values, mostly looked up in inversion tables
-that each process caches (see :func:`picgof.sampling._binomial`); the cache
-changes speed, never a value.  A block, the dispatch unit, is a run of one
-model's consecutive chunks that advance together, one array step per interval,
-each chunk still drawing from its own stream.  Blocks are reassembled in index
-order, so every result is a pure function of (scheme, n, model, seed, B):
-running with 1, 4 or 8 worker processes yields bit-identical outputs.
+numpy's ``Generator.binomial`` values, mostly looked up in an inversion table
+built for each block and interval (see :func:`picgof.sampling._binomial`).  A
+block, the dispatch unit, is a run of one model's consecutive chunks that
+advance together, one array step per interval, each chunk still drawing from
+its own stream.  Blocks are reassembled in index order, so every result is a
+pure function of (scheme, n, model, seed, B): running with 1, 4 or 8 worker
+processes yields bit-identical outputs.
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ at the inspection, and floor(p_i * survivors) surviving units are withdrawn
 from __future__ import annotations
 
 import math
-import threading
 from typing import Callable
 
 import numpy as np
@@ -47,23 +46,16 @@ def interval_failure_probs(scheme: CensoringScheme, cdf: Cdf) -> tuple[float, ..
 #: Buckets of a table's guide (Chen & Asau 1974): a draw u starts its search at
 #: the first column whose upper limit is at least floor(u * 64) / 64.
 _GUIDE = 64
-#: Fewest live rows drawn from a table; below it numpy's own loop is faster.
-_MIN_ROWS = 512
+#: Fewest live rows drawn from a table, which is built for each draw; below it
+#: numpy's own loop is faster, so a block of one 2048-row chunk stays on numpy.
+_MIN_ROWS = 2304
 #: Most risk sets one table spans, each a row of under 400 cells.
 _SPAN = 512
-#: The table cache drops its oldest tables while it holds more bytes than
-#: this, so a larger table is used once.
-_CACHE_BYTES = 1 << 20
-#: Inversion tables by the probability p <= 1/2 that numpy's inversion sampler
-#: is run with, as :func:`_inversion_table` builds them.
-_tables: dict[float, tuple] = {}
-#: Held while a table is added and old ones dropped, for callers in threads.
-_tables_lock = threading.Lock()
 
 
 def _inversion_table(p: float, lo: int, hi: int) -> tuple:
     """numpy's inversion sampler at ``p`` as a lookup table for every n in [lo, hi]:
-    ``(lo, hi, upper, lower, guide, width)``, flat arrays of one row per n.
+    ``(lo, upper, lower, guide, width)``, flat arrays of one row per n.
 
     Column x + 1 of a row of ``width`` stands for the count x <= bound, where
     bound = floor(min(n, np + 10 sqrt(np(1 - p) + 1))) is the count past which
@@ -98,35 +90,18 @@ def _inversion_table(p: float, lo: int, hi: int) -> tuple:
     counts = np.bincount((rows * (_GUIDE + 1) + bucket.astype(np.int64)).ravel(),
                          minlength=len(n) * (_GUIDE + 1)).reshape(len(n), _GUIDE + 1)
     guide = np.cumsum(counts[:, :_GUIDE], axis=1) + rows * width
-    return lo, hi, upper.ravel(), lower.ravel(), guide.ravel(), width
+    return lo, upper.ravel(), lower.ravel(), guide.ravel(), width
 
 
 def _table(p: float, n: np.ndarray) -> tuple | None:
-    """The cached :func:`_inversion_table` at ``p`` for the nonzero risk sets
-    ``n``, built if needed; None where numpy leaves inversion (np > 30), where
-    fewer than _MIN_ROWS rows would share a lookup's fixed cost, or where the
-    table would span more risk sets than ``n`` has rows, or than _SPAN.
-
-    A new table reaches a quarter of the span of ``n`` past each end, so that
-    the later chunks of a model mostly find their risk sets in it.
-    """
+    """The :func:`_inversion_table` at ``p`` for the nonzero risk sets ``n``, one row per
+    risk set in [n.min(), n.max()]; None where numpy leaves inversion (np > 30), where
+    fewer than _MIN_ROWS rows would share the table's build and lookup, or where the
+    table would span more risk sets than ``n`` has rows, or than _SPAN."""
     lo, hi = int(n.min()), int(n.max())
-    if hi * p > 30.0 or len(n) < _MIN_ROWS:
+    if hi * p > 30.0 or len(n) < _MIN_ROWS or hi - lo >= min(len(n), _SPAN):
         return None
-    entry = _tables.get(p)
-    if entry is not None and entry[0] <= lo and hi <= entry[1]:
-        return entry
-    span = min(len(n), _SPAN)
-    if hi - lo >= span:
-        return None
-    pad = (hi - lo) // 4 + 1
-    if hi - lo + 2 * pad < span:
-        lo, hi = max(1, lo - pad), hi + pad
-    with _tables_lock:
-        entry = _tables[p] = _inversion_table(p, lo, hi)
-        while sum(a.nbytes for e in _tables.values() for a in e[2:5]) > _CACHE_BYTES:
-            del _tables[next(iter(_tables))]
-    return entry
+    return _inversion_table(p, lo, hi)
 
 
 def _invert(u: np.ndarray, n: np.ndarray, table: tuple) -> np.ndarray | None:
@@ -138,7 +113,7 @@ def _invert(u: np.ndarray, n: np.ndarray, table: tuple) -> np.ndarray | None:
     limit; it draws the count of the column it stops at if u is above the
     lower limit there.
     """
-    lo, _, upper, lower, guide, width = table
+    lo, upper, lower, guide, width = table
     row = n - lo
     pos = guide[row * _GUIDE + (u * _GUIDE).astype(np.int64)]
     i = np.flatnonzero(u > upper[pos])
@@ -159,13 +134,13 @@ def _binomial(stream: Callable[[int], np.random.Generator], at_risk: np.ndarray,
     numpy 2.4.6 draws a row with n > 0 and np <= 30, where p = min(q, 1 - q), by
     inversion: from one uniform u, x is the first count with
     u - px_0 - ... - px_{x-1} <= px_x, and a draw at q > 1/2 is n - x.  Here one
-    table serves every part: the uniforms of each part's live rows, drawn from its
-    own stream, are looked up together in a cached table of the same px's running
-    sums c (:func:`_invert`).  Rounding moves numpy's subtraction chain and the
-    sums apart by under 1.5 x * 2**-53, so where u lies more than
-    4(x + 1) * 2**-53 from c_x and c_{x-1}, numpy's loop stops at x too.
+    table of the same px's running sums c, built for this call's risk sets, serves
+    every part: the uniforms of each part's live rows, drawn from its own stream,
+    are looked up together in it (:func:`_invert`).  Rounding moves numpy's
+    subtraction chain and the sums apart by under 1.5 x * 2**-53, so where u lies
+    more than 4(x + 1) * 2**-53 from c_x and c_{x-1}, numpy's loop stops at x too.
     Otherwise, and wherever :func:`_table` gives no table, numpy draws each part
-    from the start of its stream.  The cache changes speed, never a value.
+    from the start of its stream.
     """
     parts = [at_risk[s : s + size] for s in range(0, len(at_risk), size)]
     live = np.flatnonzero(at_risk)

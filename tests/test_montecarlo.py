@@ -258,7 +258,8 @@ class TestBlocks:
     @pytest.mark.parametrize("every", [1, 2])
     def test_a_refused_lookup_keeps_the_rows(self, chunks, every, monkeypatch):
         # a lookup refused at every or every other interval: each chunk of the block
-        # draws again with numpy from the start of its own stream
+        # draws again with numpy from the start of its own stream; one chunk is looked up too
+        monkeypatch.setattr(pg.sampling, "_MIN_ROWS", 1)
         replications = chunks * pg.montecarlo.CHUNK_SIZE - 7
         expected = pg.replicated_statistics(SCHEME, 40, pg.UNIFORM, 3, replications)
         looked_up, invert = [], pg.sampling._invert

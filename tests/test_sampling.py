@@ -294,10 +294,9 @@ class TestTableBinomial:
     @example(np.full(2048, 60), 0.5, 5)  # p = 1/2 is drawn as x, not n - x
     @example(np.full(2048, 40), 1.0, 6)
     @example(np.zeros(2048, dtype=np.int64), 0.3, 7)
-    def test_equals_numpy_from_cold_and_warm_cache(self, at_risk, q, seed):
+    def test_equals_numpy_at_two_seeds(self, at_risk, q, seed):
         # every row count takes the table path, so 1 and 2 rows are tables too
         with mock.patch.object(sampling, "_MIN_ROWS", 1):
-            sampling._tables.clear()
             assert _same_draws(at_risk, q, seed)
             assert _same_draws(at_risk, q, (seed + 1) % 2**64)
 
@@ -307,22 +306,32 @@ class TestTableBinomial:
     @example((np.full(2 * 2048 + 5, 120), 2048), 0.75, 3)  # the same, drawn as n - x
     @example((np.r_[np.zeros(2048, np.int64), np.full(700, 30)], 2048), 0.1, 4)  # an empty part
     @example((np.r_[np.full(2048, 30), np.zeros(700, np.int64)], 2048), 0.1, 5)  # an empty last part
-    def test_block_parts_equal_numpy_from_cold_and_warm_cache(self, block, q, seed):
+    def test_block_parts_equal_numpy_at_two_seeds(self, block, q, seed):
         # each part, drawn from its own stream, equals numpy on that part alone
         at_risk, size = block
         with mock.patch.object(sampling, "_MIN_ROWS", 1):
-            sampling._tables.clear()
             assert _same_draws(at_risk, q, seed, size=size)
             assert _same_draws(at_risk, q, (seed + 7) % 2**64, size=size)
 
     def test_engine_chunk_is_drawn_from_a_table(self):
-        # a 2048-row interval of the power-sweep kind is looked up, not redrawn
-        at_risk = np.random.default_rng(7).binomial(180, 0.9, 2048)
-        sampling._tables.clear()
+        # an interval of the power-sweep kind over a block of two 2048-row chunks is
+        # looked up, not redrawn; one chunk alone stays on numpy's loop
+        at_risk = np.random.default_rng(7).binomial(180, 0.9, 4096)
         table = sampling._table(0.08, at_risk)
-        assert table is not None and sampling._table(0.08, at_risk) is table
-        u = _philox(11).random(2048)
-        assert np.array_equal(sampling._invert(u, at_risk, table), _philox(11).binomial(at_risk, 0.08))
+        assert table is not None and sampling._table(0.08, at_risk[:2048]) is None
+        u = np.concatenate([_philox(11).random(2048), _philox(12).random(2048)])
+        expected = np.concatenate([_philox(11).binomial(at_risk[:2048], 0.08),
+                                   _philox(12).binomial(at_risk[2048:], 0.08)])
+        assert np.array_equal(sampling._invert(u, at_risk, table), expected)
+
+    def test_table_spans_exactly_the_risk_sets(self):
+        # one row per risk set from the block's smallest to its largest, and no others
+        at_risk = np.random.default_rng(5).binomial(180, 0.9, 4096)
+        lo, hi = int(at_risk.min()), int(at_risk.max())
+        table_lo, upper, lower, guide, width = sampling._table(0.08, at_risk)
+        assert table_lo == lo
+        assert len(upper) == len(lower) == (hi - lo + 1) * width
+        assert len(guide) == (hi - lo + 1) * sampling._GUIDE
 
     @pytest.mark.parametrize(
         "n,p", [(1, 0.5), (5, 0.1), (40, 0.1), (200, 0.15), (120, 0.25), (7, 0.0), (2**40, 1e-11)]
@@ -362,27 +371,6 @@ class TestTableBinomial:
         with mock.patch.object(sampling, "_MIN_ROWS", 1):
             assert _same_draws(np.array([10, 10]), 0.45, 12, [0.5, u, 0.25])
 
-    def test_cache_never_changes_an_output(self):
-        scheme = pg.load_scheme("t1p1")
-        models = [pg.parse_family(f"compressed:{g}") for g in (0.0, 0.1, 0.3)]
-
-        def run():
-            table = pg.critical_values(scheme, 200, 0.05, 3000, seed=4)
-            freq, _ = pg.power(scheme, 200, table, models, 3000, seed=5)
-            return table.to_json(), freq.tobytes()
-
-        sampling._tables.clear()
-        cold = run()
-        assert sampling._tables
-        assert run() == cold
-        # tables of the same probabilities, built for other risk sets
-        sampling._tables.clear()
-        for model in models:
-            pg.replicated_statistics(scheme, 150, model, 8, 3000)
-        assert run() == cold
-        with mock.patch.object(sampling, "_CACHE_BYTES", 0):
-            assert run() == cold
-
     def test_threads_adding_and_dropping_tables_draw_numpys_values(self):
         at_risk = np.random.default_rng(3).binomial(60, 0.8, 600)
         agree = {}
@@ -393,8 +381,8 @@ class TestTableBinomial:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            # a cache of a few tables, so that every thread's builds drop others'
-            with mock.patch.object(sampling, "_CACHE_BYTES", 1 << 16):
+            # every draw builds its own table, so threads build and drop them at once
+            with mock.patch.object(sampling, "_MIN_ROWS", 1):
                 threads = [threading.Thread(target=draw, args=(k,)) for k in range(6)]
                 for t in threads:
                     t.start()
