@@ -12,9 +12,9 @@ example database), and prints ``killed`` or ``survived`` with the time taken.  I
 1 if any mutant survives, if an edit no longer applies, or if a run ends in anything
 but passing or failing tests.  The mutants cover the engine's interval step, the
 table binomial sampler and the risk sets its tables span, the withdrawal rule, the block,
-chunk and stream layout, the exact rank of a critical value and the input checks on counts
-and reals, so that a later change cannot weaken the tests that hold their bits, counts,
-stream positions and refusals unnoticed.  The gate takes about 2 minutes on 2 CPUs.
+chunk and stream layout, the exact rank of a critical value and the input checks on counts,
+reals and model values, so that a later change cannot weaken the tests that hold their
+bits, counts, stream positions and refusals unnoticed.  The gate takes about 95 s on 2 CPUs.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ MUTANTS = [
            "np.maximum(c_plus, d, out=c_plus)", ("tests/test_gof.py",)),
     Mutant("estimate without max(a, 1)", RELIABILITY, "x / np.maximum(at_risk, 1)",
            "x / at_risk", ("tests/test_reliability.py",)),
-    Mutant("c+- not seeded from interval 0", GOF, "        c_plus[...], c_minus[...] = d, -d\n",
-           "        pass\n", ("tests/test_gof.py",)),
+    Mutant("c+- start at 0", GOF, "[[-np.inf], [-np.inf], ", "[[0.0], [0.0], ",
+           ("tests/test_gof.py",)),
     Mutant("withdraw_count without its +1e-9", SCHEMES,
            "np.asarray(survivors, dtype=np.int64) + 1e-9)",
            "np.asarray(survivors, dtype=np.int64))", ("tests/test_sampling.py",)),
@@ -78,6 +78,8 @@ MUTANTS = [
            "for k, part in enumerate(parts)][::-1])\n        x = _invert", ("tests/test_sampling.py",)),
     Mutant("blocks over the 16-chunk cap", MONTECARLO,
            "max(math.ceil(chunks / _BLOCK_CHUNKS), ", "max(1, ", ("tests/test_montecarlo.py",)),
+    Mutant("span rule off by one", SAMPLING, "hi - lo >= _SPAN", "hi - lo > _SPAN",
+           ("tests/test_sampling.py",)),
     Mutant("table one risk set short of hi", SAMPLING, "_inversion_table(p, lo, hi)\n",
            "_inversion_table(p, lo, hi - 1)\n", ("tests/test_sampling.py",)),
     Mutant("rank on the float level", MONTECARLO, "(1 - Fraction(repr(level)))", "(1 - level)",
@@ -86,6 +88,8 @@ MUTANTS = [
            "if r > survivors[-1]:", "if r > survivors[-1] + 1:", ("tests/test_schemes.py",)),
     Mutant("as_real accepting nan", SCHEMES, "math.isfinite(x := float(value))",
            "not math.isinf(x := float(value))", ("tests/test_schemes.py",)),
+    Mutant("a model value read with float", RELIABILITY, 'as_real(null_cdf(t), "cdf value")',
+           "float(null_cdf(t))", ("tests/test_boundary.py",)),
 ]
 
 

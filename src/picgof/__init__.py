@@ -51,7 +51,6 @@ from .schemes import (
     sample_to_json,
     scheme_from_json,
     scheme_id,
-    scheme_to_json,
 )
 
 __version__ = "0.1.0"
@@ -86,7 +85,6 @@ __all__ = [
     "sample_to_json",
     "scheme_from_json",
     "scheme_id",
-    "scheme_to_json",
     "simulate_sample",
     "survival_values",
     "test_general",

@@ -170,7 +170,7 @@ def transform_scheme(scheme: CensoringScheme, f0: Callable[[float], float]) -> C
     across the inspection times; ties raise :class:`CensoringError` because
     a flat stretch makes two inspections indistinguishable under the model.
     """
-    new_times = [float(f0(t)) for t in scheme.times]
+    new_times = [as_real(f0(t), "cdf value") for t in scheme.times]
     for i in range(1, len(new_times)):
         if new_times[i] == new_times[i - 1]:
             raise CensoringError(

@@ -36,13 +36,16 @@ class StatisticSet(NamedTuple):
         return tuple(self)
 
 
-def _fold(stats, d, first: bool) -> None:
-    """Fold deviations ``d``, one interval of every row, into (6 x rows) accumulators ``stats``
-    in place: the largest d and -d, and the sums of d * d and |d|.  The first interval seeds
-    the largest values before its own update, so each row has a scalar loop's bits."""
+def _start(rows: int) -> np.ndarray:
+    """(6 x ``rows``) accumulators before the first interval, for :func:`_fold`: the largest
+    d and -d at -inf, which every finite deviation replaces, and the other four rows at 0."""
+    return np.repeat([[-np.inf], [-np.inf], [0.0], [0.0], [0.0], [0.0]], rows, axis=1)
+
+
+def _fold(stats, d) -> None:
+    """Fold finite deviations ``d``, one interval of every row, into (6 x rows) accumulators
+    ``stats`` from :func:`_start`, in place: the largest d and -d, and the sums of d * d and |d|."""
     c_plus, c_minus, _, _, s1, s2 = stats
-    if first:
-        c_plus[...], c_minus[...] = d, -d
     np.copyto(c_plus, d, where=d > c_plus)  # not np.maximum, which breaks ties of +-0 apart
     np.copyto(c_minus, -d, where=-d > c_minus)
     s1 += d * d
@@ -65,9 +68,9 @@ def compute_statistics(d: Sequence[float]) -> StatisticSet:
     d = [as_real(v, "deviation") for v in d]
     if not d:
         raise CensoringError("cannot summarize an empty deviation vector")
-    stats = np.zeros((6, 1))
-    for i, x in enumerate(d):
-        _fold(stats, x, not i)
+    stats = _start(1)
+    for x in d:
+        _fold(stats, x)
     return StatisticSet(*_finish(stats, len(d))[0].tolist())
 
 

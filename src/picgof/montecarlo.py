@@ -98,7 +98,7 @@ def _statistic_block(n, percentages, survival, seed, replications, reduce, probs
     stream = _rekeyed(seed, chunks.start)
     for i, (q, p, s) in enumerate(zip(probs, percentages, survival)):
         x = _binomial(lambda k: stream(chunks[k], i), at_risk, q, CHUNK_SIZE) if q else 0
-        _step(at_risk, estimate, stats, x, withdraw_count(p, at_risk - x), s, not i)
+        _step(at_risk, estimate, stats, x, withdraw_count(p, at_risk - x), s)
     stats = _finish(stats, len(probs))
     return stats if reduce is None else reduce(stats)
 

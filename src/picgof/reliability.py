@@ -17,32 +17,31 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import CensoringError
-from .gof import _fold
-from .schemes import CensoredSample, CensoringScheme, _count_trajectory
+from .gof import _fold, _start
+from .schemes import CensoredSample, CensoringScheme, _count_trajectory, as_real
 
 
 def _block(n: int, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``rows`` trajectories of ``n`` units before the first interval, for :func:`_step`:
     their risk sets (int64), survival estimates and (6 x rows) statistic accumulators."""
-    return np.full(rows, n, dtype=np.int64), np.ones(rows), np.zeros((6, rows))
+    return np.full(rows, n, dtype=np.int64), np.ones(rows), _start(rows)
 
 
-def _step(at_risk, estimate, stats, x, r, survival, first: bool) -> np.ndarray:
+def _step(at_risk, estimate, stats, x, r, survival) -> np.ndarray:
     """Advance a :func:`_block` by one interval in place, given its failures ``x`` and removals
     ``r``, and fold d = estimate - ``survival`` into ``stats`` by :func:`picgof.gof._fold`; returns
     d.  Unchecked precondition: no failure once a row's risk set is empty or negative."""
     np.multiply(estimate, 1.0 - x / np.maximum(at_risk, 1), out=estimate)
     at_risk -= x + r
     d = estimate - survival
-    _fold(stats, d, first)
+    _fold(stats, d)
     return d
 
 
 def _trajectory(n: int, failures, removals, survival) -> np.ndarray:
     """The deviations from ``survival`` of one trajectory's estimates, one per interval."""
     block = _block(n, 1)
-    return np.array([_step(*block, x, r, s, not i)[0]
-                     for i, (x, r, s) in enumerate(zip(failures, removals, survival))])
+    return np.array([_step(*block, x, r, s)[0] for x, r, s in zip(failures, removals, survival)])
 
 
 def survival_values(n: int, failures: Sequence[int], removals: Sequence[int]) -> list[float]:
@@ -59,7 +58,7 @@ def survival_values(n: int, failures: Sequence[int], removals: Sequence[int]) ->
 def null_survival(scheme: CensoringScheme, null_cdf: Callable[[float], float]) -> np.ndarray:
     """Hypothesized survival 1 - F0(t_i) at each inspection time, refused unless positive at
     the final one, t_m (for uniformity: t_m < 1), where zero would pin the last deviation."""
-    survival = np.array([1.0 - float(null_cdf(t)) for t in scheme.inspection_times])
+    survival = np.array([1.0 - as_real(null_cdf(t), "cdf value") for t in scheme.inspection_times])
     if survival[-1] <= 0.0:
         raise CensoringError("null survival 1 - F0(t_m) must be positive at the final inspection "
                              f"time t_m = {scheme.times[-1]!r}, got {float(survival[-1])!r}")

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CensoringError
-from .schemes import MAX_N, CensoredSample, CensoringScheme, as_int, withdraw_count
+from .schemes import MAX_N, CensoredSample, CensoringScheme, as_int, as_real, withdraw_count
 
 #: A lifetime CDF evaluated pointwise; must be nondecreasing over the
 #: inspection times.
@@ -30,9 +30,9 @@ def interval_failure_probs(scheme: CensoringScheme, cdf: Cdf) -> tuple[float, ..
     a CDF that exceeds 1.  A decreasing CDF is refused, so q_i is never below 0.
     """
     probs = []
-    prev = float(cdf(scheme.times[0]))
+    prev = as_real(cdf(scheme.times[0]), "cdf value")
     for t in scheme.times[1:]:
-        cur = float(cdf(t))
+        cur = as_real(cdf(t), "cdf value")
         if cur < prev:
             raise CensoringError(
                 f"cdf decreases between inspection times: F({t!r}) = {cur!r} < {prev!r}"
@@ -97,9 +97,9 @@ def _table(p: float, n: np.ndarray) -> tuple | None:
     """The :func:`_inversion_table` at ``p`` for the nonzero risk sets ``n``, one row per
     risk set in [n.min(), n.max()]; None where numpy leaves inversion (np > 30), where
     fewer than _MIN_ROWS rows would share the table's build and lookup, or where the
-    table would span more risk sets than ``n`` has rows, or than _SPAN."""
+    table would span more than _SPAN risk sets."""
     lo, hi = int(n.min()), int(n.max())
-    if hi * p > 30.0 or len(n) < _MIN_ROWS or hi - lo >= min(len(n), _SPAN):
+    if hi * p > 30.0 or len(n) < _MIN_ROWS or hi - lo >= _SPAN:
         return None
     return _inversion_table(p, lo, hi)
 

@@ -160,10 +160,6 @@ def scheme_fields(scheme: CensoringScheme) -> dict[str, list[float]]:
     return {"times": list(scheme.times), "percentages": list(scheme.percentages)}
 
 
-def scheme_to_json(scheme: CensoringScheme) -> str:
-    return json.dumps(scheme_fields(scheme))
-
-
 def scheme_from_json(text: str) -> CensoringScheme:
     obj = json.loads(text)
     try:

@@ -1,6 +1,7 @@
 """The library boundary: every numeric argument of the engine, the sampler and
-the one-sample path takes a value of any kind, and each call either returns its
-documented types or raises ``CensoringError``.
+the one-sample path, and every value a model passed to them returns, may be of
+any kind, and each call either returns its documented types or raises
+``CensoringError``.
 
 Every call runs at n <= 10 and B <= 10 with one model, so it is one chunk and
 starts no worker pool whatever ``workers`` is.
@@ -120,6 +121,43 @@ def test_returns_documented_types_or_raises_censoring_error(name, arg, kind, num
     call, valid, check = CALLS[name]
     try:
         result = call(**{**valid, arg: KINDS[kind](number)})
+    except pg.CensoringError:
+        return
+    check(result)
+
+
+def check_scheme(scheme):
+    assert type(scheme) is pg.CensoringScheme
+    assert all(type(v) is float for v in scheme.times + scheme.percentages)
+
+
+def check_deviations(d):
+    assert type(d) is tuple and len(d) == 3
+    assert all(type(v) is float and math.isfinite(v) for v in d)
+
+
+SAMPLE = pg.simulate_sample(SCHEME, 10, pg.UNIFORM, pg.derive_stream(1, 0))
+
+#: name -> (call of a model, check of its result)
+MODEL_CALLS = {
+    "power": (lambda model: pg.power(SCHEME, critical=TABLE, models=[model], **RUN), check_power),
+    "replicated_statistics": (lambda model: pg.replicated_statistics(SCHEME, model=model, **RUN),
+                              check_rows),
+    "simulate_sample": (lambda model: pg.simulate_sample(SCHEME, 10, model, pg.derive_stream(1, 0)),
+                        check_sample),
+    "deviations": (lambda model: pg.deviations(SAMPLE, model), check_deviations),
+    "test_general": (lambda model: pg.test_general(SAMPLE, model), check_statistics),
+    "transform_scheme": (lambda model: pg.transform_scheme(SCHEME, model), check_scheme),
+}
+
+
+@pytest.mark.parametrize("name", MODEL_CALLS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_model_value_of_any_kind_gives_documented_types_or_censoring_error(name, kind):
+    # the model is the uniform cdf, each of its values made into ``kind``
+    call, check = MODEL_CALLS[name]
+    try:
+        result = call(lambda t: KINDS[kind](pg.UNIFORM(t)))
     except pg.CensoringError:
         return
     check(result)

@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import picgof as pg
-from picgof.gof import _finish, _fold
+from picgof.gof import _finish, _fold, _start
 from picgof.montecarlo import CriticalValueTable
 from strategies import deviation_matrices, deviation_vectors
 
@@ -32,11 +32,11 @@ def float_bits(values):
 
 def step_fold(d):
     """The (rows x 6) statistics of a (rows x m) deviation array, folded one interval (column)
-    at a time by the engine step's fold."""
+    at a time by the engine step's fold from gof's start state."""
     d = np.asarray(d, dtype=float)
-    stats = np.zeros((6, len(d)))
-    for i, x in enumerate(d.T):
-        _fold(stats, x, not i)
+    stats = _start(len(d))
+    for x in d.T:
+        _fold(stats, x)
     return _finish(stats, d.shape[1])
 
 

@@ -1,6 +1,7 @@
 """Monte Carlo engine: determinism, order statistics, p-values, power."""
 
 import dataclasses
+import json
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -11,6 +12,7 @@ import pytest
 import picgof as pg
 from picgof.cli import main as cli_main
 from picgof.sampling import interval_failure_probs, withdraw_count
+from picgof.schemes import scheme_fields
 from test_gof import BAD_ROWS
 
 SCHEME = pg.CensoringScheme((0.0, 0.2, 0.4, 0.6), (0.3, 0.3, 1.0))
@@ -618,7 +620,7 @@ class TestPowerCurve:
     @pytest.fixture()
     def design_files(self, table, tmp_path):
         """The module's scheme and table as files, and the CLI's power-curve argv on them."""
-        (tmp_path / "scheme.json").write_text(pg.scheme_to_json(SCHEME))
+        (tmp_path / "scheme.json").write_text(json.dumps(scheme_fields(SCHEME)))
         (tmp_path / "cv.csv").write_text(table.to_csv())
         return ["power-curve", "--scheme", str(tmp_path / "scheme.json"), "--n", "15",
                 "--family", "lehmann", "--critical", str(tmp_path / "cv.csv")]

@@ -41,8 +41,8 @@ def step_estimates(n, failures, removals):
     failures, removals = (np.asarray(c, dtype=np.int64) for c in (failures, removals))
     at_risk, estimate, stats = _block(n, len(failures))
     out = np.empty(failures.shape[::-1])
-    for i, (x, r, row) in enumerate(zip(failures.T, removals.T, out)):
-        _step(at_risk, estimate, stats, x, r, 0.0, not i)
+    for x, r, row in zip(failures.T, removals.T, out):
+        _step(at_risk, estimate, stats, x, r, 0.0)
         row[...] = estimate
     return out.T
 
@@ -172,7 +172,7 @@ class TestProductLimit:
         block = _block(n, len(failures))
         f, r = (np.array(c, dtype=np.int64) for c in (failures, removals))
         for i in range(m):
-            _step(*block, f[:, i], r[:, i], survival[i], not i)
+            _step(*block, f[:, i], r[:, i], survival[i])
         for row, x, removed in zip(_finish(block[2], m), failures, removals):
             d = [e - s for e, s in zip(reference_survival_values(n, x, removed), survival)]
             assert float_bits(row) == float_bits(pg.compute_statistics(d))

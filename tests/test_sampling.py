@@ -333,6 +333,15 @@ class TestTableBinomial:
         assert len(upper) == len(lower) == (hi - lo + 1) * width
         assert len(guide) == (hi - lo + 1) * sampling._GUIDE
 
+    @pytest.mark.parametrize("span", [511, 512])
+    def test_table_spans_at_most_span_risk_sets(self, span):
+        # enough live rows at np <= 30: a block over 512 risk sets gets a table, one over
+        # 513 none, which bounds a table's memory
+        at_risk = np.random.default_rng(3).integers(1000, 1000 + span, sampling._MIN_ROWS,
+                                                    endpoint=True)
+        at_risk[:2] = 1000, 1000 + span
+        assert (sampling._table(0.01, at_risk) is not None) == (span < sampling._SPAN)
+
     @pytest.mark.parametrize(
         "n,p", [(1, 0.5), (5, 0.1), (40, 0.1), (200, 0.15), (120, 0.25), (7, 0.0), (2**40, 1e-11)]
     )
