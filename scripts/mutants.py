@@ -14,7 +14,7 @@ but passing or failing tests.  The mutants cover the engine's interval step, the
 table binomial sampler and the risk sets its tables span, the withdrawal rule, the block,
 chunk and stream layout, the exact rank of a critical value and the input checks on counts,
 reals and model values, so that a later change cannot weaken the tests that hold their
-bits, counts, stream positions and refusals unnoticed.  The gate takes about 95 s on 2 CPUs.
+bits, counts, stream positions and refusals unnoticed.  The gate takes about 120 s on 2 CPUs.
 """
 
 from __future__ import annotations
@@ -88,8 +88,12 @@ MUTANTS = [
            "if r > survivors[-1]:", "if r > survivors[-1] + 1:", ("tests/test_schemes.py",)),
     Mutant("as_real accepting nan", SCHEMES, "math.isfinite(x := float(value))",
            "not math.isinf(x := float(value))", ("tests/test_schemes.py",)),
-    Mutant("a model value read with float", RELIABILITY, 'as_real(null_cdf(t), "cdf value")',
-           "float(null_cdf(t))", ("tests/test_boundary.py",)),
+    Mutant("a model value read with float", SCHEMES, 'as_real(cdf(t), "cdf value")',
+           "float(cdf(t))", ("tests/test_boundary.py",)),
+    Mutant("reader without its decrease check", SCHEMES, "if b < a:", "if False:",
+           ("tests/test_sampling.py",)),
+    Mutant("null survival one time early", RELIABILITY, "[1:]", "[:-1]",
+           ("tests/test_reliability.py",)),
 ]
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import CensoringError, FamilySyntaxError
 from .gof import StatisticSet, compute_statistics
 from .reliability import deviations
-from .schemes import CensoredSample, CensoringScheme, as_real, csv_rows, load_input
+from .schemes import CensoredSample, CensoringScheme, _model_values, as_real, csv_rows, load_input
 
 #: Parameter grids used by the power-curve command when none is given.
 DEFAULT_PARAMETER_GRIDS: dict[str, tuple[float, ...]] = {
@@ -170,15 +170,10 @@ def transform_scheme(scheme: CensoringScheme, f0: Callable[[float], float]) -> C
     across the inspection times; ties raise :class:`CensoringError` because
     a flat stretch makes two inspections indistinguishable under the model.
     """
-    new_times = [as_real(f0(t), "cdf value") for t in scheme.times]
-    for i in range(1, len(new_times)):
-        if new_times[i] == new_times[i - 1]:
-            raise CensoringError(
-                f"hypothesized cdf is flat between t = {scheme.times[i - 1]!r} "
-                f"and t = {scheme.times[i]!r}"
-            )
-        if new_times[i] < new_times[i - 1]:
-            raise CensoringError("hypothesized cdf decreases between inspection times")
+    new_times = _model_values(scheme, f0)
+    for s, t, a, b in zip(scheme.times, scheme.times[1:], new_times, new_times[1:]):
+        if a == b:
+            raise CensoringError(f"hypothesized cdf is flat between t = {s!r} and t = {t!r}")
     return CensoringScheme(tuple(new_times), scheme.percentages)
 
 

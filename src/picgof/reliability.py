@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CensoringError
 from .gof import _fold, _start
-from .schemes import CensoredSample, CensoringScheme, _count_trajectory, as_real
+from .schemes import CensoredSample, CensoringScheme, _count_trajectory, _model_values
 
 
 def _block(n: int, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -56,9 +56,10 @@ def survival_values(n: int, failures: Sequence[int], removals: Sequence[int]) ->
 
 
 def null_survival(scheme: CensoringScheme, null_cdf: Callable[[float], float]) -> np.ndarray:
-    """Hypothesized survival 1 - F0(t_i) at each inspection time, refused unless positive at
-    the final one, t_m (for uniformity: t_m < 1), where zero would pin the last deviation."""
-    survival = np.array([1.0 - as_real(null_cdf(t), "cdf value") for t in scheme.inspection_times])
+    """Hypothesized survival 1 - F0(t_i) at each inspection time, F0 read by the model rule
+    (``schemes._model_values``), refused unless positive at the final one, t_m (for
+    uniformity: t_m < 1), where zero would pin the last deviation."""
+    survival = 1.0 - np.array(_model_values(scheme, null_cdf)[1:])
     if survival[-1] <= 0.0:
         raise CensoringError("null survival 1 - F0(t_m) must be positive at the final inspection "
                              f"time t_m = {scheme.times[-1]!r}, got {float(survival[-1])!r}")

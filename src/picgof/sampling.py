@@ -14,11 +14,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CensoringError
-from .schemes import MAX_N, CensoredSample, CensoringScheme, as_int, as_real, withdraw_count
+from .schemes import MAX_N, CensoredSample, CensoringScheme, _model_values, as_int, withdraw_count
 
-#: A lifetime CDF evaluated pointwise; must be nondecreasing over the
-#: inspection times.
+#: A lifetime CDF evaluated pointwise; its values at a design's times t_0, ..., t_m must be
+#: finite reals that never decrease (the model rule of ``schemes._model_values``).
 Cdf = Callable[[float], float]
 
 
@@ -27,20 +26,11 @@ def interval_failure_probs(scheme: CensoringScheme, cdf: Cdf) -> tuple[float, ..
 
     q_i = (F(t_i) - F(t_{i-1})) / (1 - F(t_{i-1})), taken as 0 once F has
     reached 1 (no unit can enter such an interval alive), and clamped to 1 for
-    a CDF that exceeds 1.  A decreasing CDF is refused, so q_i is never below 0.
+    a CDF that exceeds 1.  The model rule refuses a decreasing CDF, so q_i is never below 0.
     """
-    probs = []
-    prev = as_real(cdf(scheme.times[0]), "cdf value")
-    for t in scheme.times[1:]:
-        cur = as_real(cdf(t), "cdf value")
-        if cur < prev:
-            raise CensoringError(
-                f"cdf decreases between inspection times: F({t!r}) = {cur!r} < {prev!r}"
-            )
-        q = 0.0 if prev >= 1.0 else (cur - prev) / (1.0 - prev)
-        probs.append(1.0 if q > 1.0 else q)
-        prev = cur
-    return tuple(probs)
+    values = _model_values(scheme, cdf)
+    return tuple(min(0.0 if a >= 1.0 else (b - a) / (1.0 - a), 1.0)
+                 for a, b in zip(values, values[1:]))
 
 
 #: Buckets of a table's guide (Chen & Asau 1974): a draw u starts its search at

@@ -233,7 +233,7 @@ def sample_from_csv(text: str) -> CensoredSample:
 
 
 # ---------------------------------------------------------------------------
-# outside input: one file read, one CSV grammar and one number rule
+# outside input: one file read, one CSV grammar, one number rule and one model rule
 
 
 def load_input(path, parse, parse_json=None):
@@ -307,3 +307,14 @@ def as_real(value, what: str) -> float:
     except (TypeError, ValueError, OverflowError):
         pass
     raise CensoringError(f"{what} must be a finite real number, got {value!r}")
+
+
+def _model_values(scheme: CensoringScheme, cdf) -> list[float]:
+    """The model rule: ``cdf``'s values F(t_0), ..., F(t_m) at every time of ``scheme``, each
+    read by :func:`as_real`, or :class:`CensoringError` if they decrease anywhere."""
+    values = [as_real(cdf(t), "cdf value") for t in scheme.times]
+    for t, a, b in zip(scheme.times[1:], values, values[1:]):
+        if b < a:
+            raise CensoringError(f"cdf decreases between inspection times: "
+                                 f"F({t!r}) = {b!r} < {a!r}")
+    return values

@@ -161,3 +161,19 @@ def test_a_model_value_of_any_kind_gives_documented_types_or_censoring_error(nam
     except pg.CensoringError:
         return
     check(result)
+
+
+#: Models that break the model rule at the design's times: one decreases, the other is the
+#: uniform but for a nan at t_0 alone.
+RULE_BREAKERS = {
+    "decreasing": lambda t: 1.0 - t,
+    "nan at t_0": lambda t: math.nan if t == 0.0 else pg.UNIFORM(t),
+}
+
+
+@pytest.mark.parametrize("name", MODEL_CALLS)
+@pytest.mark.parametrize("model", RULE_BREAKERS)
+def test_every_model_entry_refuses_a_model_that_breaks_the_model_rule(name, model):
+    call, _ = MODEL_CALLS[name]
+    with pytest.raises(pg.CensoringError, match="cdf decreases|cdf value must be a finite real"):
+        call(RULE_BREAKERS[model])
