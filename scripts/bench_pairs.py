@@ -15,17 +15,14 @@ that snapshot, so the tool refuses to run while there are any.  Each pair
 runs each tree's own ``bench/run.py`` once with the same arguments,
 alternating which side goes first; all timing comes from those runs.  Per
 metric the JSON printed on stdout gives each side's median and quartiles,
-the per-pair change/parent ratios, their median with a seeded 95%
-percentile-bootstrap interval (``median_ratio_interval``), the number of
-pairs the change wins (strictly better in the metric's direction from
-BENCHMARK.json), and ``gain``.  ``gain`` is true only where the change wins at
-least nine tenths of the pairs, ties counting for neither side, and its
-median beats the parent's by more than the parent's quartile distance; the
-bootstrap interval only describes the spread of the ratios, since with a few
-pairs it can exclude 1 on host drift alone.  The comparison also records the
-BLAS/OpenMP thread variables the runs inherited (``thread_env``, null when
-unset), because exporting ``OPENBLAS_NUM_THREADS`` changes what both sides
-cost, and the bytecode variables (``bytecode_env``), because with
+the per-pair change/parent ratios and their median, the number of pairs the
+change wins (strictly better in the metric's direction from BENCHMARK.json),
+and ``gain``.  ``gain`` is true only where the change wins at least nine
+tenths of the pairs, ties counting for neither side, and its median beats the
+parent's by more than the parent's quartile distance.  The comparison also
+records the BLAS/OpenMP thread variables the runs inherited (``thread_env``,
+null when unset), because exporting ``OPENBLAS_NUM_THREADS`` changes what both
+sides cost, and the bytecode variables (``bytecode_env``), because with
 ``PYTHONDONTWRITEBYTECODE`` set and no ``__pycache__`` in the fresh worktrees
 every timed process compiles picgof from source, a cost an installed picgof
 does not pay.  ``--out`` also appends the comparison to a BENCH file.
@@ -36,17 +33,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-#: Resamples, seed and coverage of the bootstrap interval of a median ratio.
-BOOTSTRAP_RESAMPLES = 5000
-BOOTSTRAP_SEED = 0
-INTERVAL_LEVEL = 0.95
 #: Thread-count variables of the BLAS and OpenMP runtimes numpy may load.
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 #: Variables that decide whether the timed processes read or write cached bytecode.
@@ -88,20 +80,6 @@ def quartiles(values: list[float]) -> dict:
     return {"median": q2, "q1": q1, "q3": q3}
 
 
-def median_interval(values: list[float]) -> list[float] | None:
-    """Percentile-bootstrap interval of the median of ``values``, resampling
-    whole pairs with a fixed seed so that the same runs give the same interval."""
-    if not values:
-        return None
-    rng = random.Random(BOOTSTRAP_SEED)
-    medians = sorted(
-        statistics.median(rng.choices(values, k=len(values))) for _ in range(BOOTSTRAP_RESAMPLES)
-    )
-    tail = (1.0 - INTERVAL_LEVEL) / 2.0
-    return [medians[round(tail * (BOOTSTRAP_RESAMPLES - 1))],
-            medians[round((1.0 - tail) * (BOOTSTRAP_RESAMPLES - 1))]]
-
-
 def compare(runs: list[dict], directions: dict[str, str]) -> dict:
     out = {}
     for name, better in directions.items():
@@ -118,7 +96,6 @@ def compare(runs: list[dict], directions: dict[str, str]) -> dict:
             **sides,
             "ratios": ratios,
             "median_ratio": statistics.median(known) if known else None,
-            "median_ratio_interval": median_interval(known),
             "wins": wins,
             "pairs": len(runs),
             # nine tenths of the pairs, in integers so that float rounding cannot decide

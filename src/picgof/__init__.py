@@ -20,7 +20,6 @@ if "numpy" not in _sys.modules and not _os.environ.get("OPENBLAS_NUM_THREADS"):
 
 from .distributions import (
     DEFAULT_PARAMETER_GRIDS,
-    FAMILY_KINDS,
     UNIFORM,
     AlternativeFamily,
     TabulatedCdf,
@@ -49,7 +48,6 @@ from .schemes import (
     sample_from_json,
     sample_to_csv,
     sample_to_json,
-    scheme_from_json,
     scheme_id,
 )
 
@@ -63,7 +61,6 @@ __all__ = [
     "CensoringScheme",
     "CriticalValueTable",
     "DEFAULT_PARAMETER_GRIDS",
-    "FAMILY_KINDS",
     "FamilySyntaxError",
     "STAT_NAMES",
     "StatisticSet",
@@ -83,7 +80,6 @@ __all__ = [
     "sample_from_json",
     "sample_to_csv",
     "sample_to_json",
-    "scheme_from_json",
     "scheme_id",
     "simulate_sample",
     "survival_values",

@@ -344,11 +344,11 @@ def test_public_names():
     # public name is a deliberate change to this list
     assert sorted(pg.__all__) == [
         "AlternativeFamily", "BUNDLED_SCHEME_NAMES", "CensoredSample", "CensoringError",
-        "CensoringScheme", "CriticalValueTable", "DEFAULT_PARAMETER_GRIDS", "FAMILY_KINDS",
+        "CensoringScheme", "CriticalValueTable", "DEFAULT_PARAMETER_GRIDS",
         "FamilySyntaxError", "STAT_NAMES", "StatisticSet", "TabulatedCdf", "UNIFORM",
         "compute_statistics", "critical_values", "derive_stream", "deviations", "load_scheme",
         "p_value", "parse_family", "power", "reject", "replicated_statistics", "sample_from_csv",
-        "sample_from_json", "sample_to_csv", "sample_to_json", "scheme_from_json", "scheme_id",
+        "sample_from_json", "sample_to_csv", "sample_to_json", "scheme_id",
         "simulate_sample", "survival_values", "test_general", "transform_scheme",
     ]
     for name in pg.__all__:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import picgof as pg
 from picgof.sampling import withdraw_count
-from picgof.schemes import scheme_fields
+from picgof.schemes import scheme_fields, scheme_from_json
 from strategies import samples, schemes
 
 T1 = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5)
@@ -137,7 +137,7 @@ class TestSchemeId:
 class TestSerialization:
     def test_scheme_json_round_trip(self):
         scheme = pg.CensoringScheme(T1, P1)
-        assert pg.scheme_from_json(json.dumps(scheme_fields(scheme))) == scheme
+        assert scheme_from_json(json.dumps(scheme_fields(scheme))) == scheme
 
     def test_sample_json_round_trip(self):
         scheme = pg.CensoringScheme(T2, P2)
