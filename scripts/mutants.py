@@ -5,16 +5,17 @@
 
 Each mutant is one text edit, (file, old text, new text, test modules), whose old
 text occurs exactly once in the file.  The script first runs the union of the named
-modules on an unedited copy of ``src/`` and ``tests/``, which must pass.  Then, per
-mutant, it applies the edit to a fresh temporary copy, runs only the named modules
-(pytest stops at the first failure; hypothesis runs with a fixed seed and an empty
-example database), and prints ``killed`` or ``survived`` with the time taken.  It exits
-1 if any mutant survives, if an edit no longer applies, or if a run ends in anything
-but passing or failing tests.  The mutants cover the engine's interval step, the
-table binomial sampler and the risk sets its tables span, the withdrawal rule, the block,
-chunk and stream layout, the exact rank of a critical value and the input checks on counts,
-reals and model values, so that a later change cannot weaken the tests that hold their
-bits, counts, stream positions and refusals unnoticed.  The gate takes about 120 s on 2 CPUs.
+modules on an unedited copy of ``src/``, ``tests/`` and ``scripts/``, which must pass.
+Then, per mutant, it applies the edit to a fresh temporary copy, runs only the named
+modules (pytest stops at the first failure; hypothesis runs with a fixed seed and an
+empty example database), and prints ``killed`` or ``survived`` with the time taken.  It
+exits 1 if any mutant survives, if an edit no longer applies, or if a run ends in
+anything but passing or failing tests.  The mutants cover the engine's interval step,
+the table binomial sampler and the risk sets its tables span, the withdrawal rule, the
+block, chunk and stream layout, the exact rank of a critical value and the input checks
+on counts, reals, model values, containers and JSON objects, so that a later change
+cannot weaken the tests that hold their bits, counts, stream positions and refusals
+unnoticed.  The gate takes about 170 s on 2 CPUs.
 """
 
 from __future__ import annotations
@@ -94,16 +95,20 @@ MUTANTS = [
            ("tests/test_sampling.py",)),
     Mutant("null survival one time early", RELIABILITY, "[1:]", "[:-1]",
            ("tests/test_reliability.py",)),
+    Mutant("container rule accepting bytes", SCHEMES, "(str, bytes)", "(str,)",
+           ("tests/test_boundary.py",)),
+    Mutant("JSON reader without its object check", SCHEMES, "if not isinstance(obj, dict):",
+           "if False:", ("tests/test_cli.py",)),
 ]
 
 
 def run_tests(mutant: Mutant | None, modules) -> tuple[int, float, str]:
     """pytest's exit code, seconds and output for ``modules`` on a temporary copy of the
-    repository's sources and tests with ``mutant`` applied (None: unedited)."""
+    repository's sources, tests and scripts with ``mutant`` applied (None: unedited)."""
     with tempfile.TemporaryDirectory(prefix="picgof-mutant-") as tmp:
         work = Path(tmp)
         skip = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
-        for tree in ("src", "tests"):
+        for tree in ("src", "tests", "scripts"):  # tests/test_cli.py imports scripts/
             shutil.copytree(ROOT / tree, work / tree, ignore=skip)
         shutil.copy2(ROOT / "pyproject.toml", work)
         if mutant is not None:

@@ -16,7 +16,9 @@ import numpy as np
 from .errors import CensoringError, FamilySyntaxError
 from .gof import StatisticSet, compute_statistics
 from .reliability import deviations
-from .schemes import CensoredSample, CensoringScheme, _model_values, as_real, csv_rows, load_input
+from .schemes import (
+    CensoredSample, CensoringScheme, _items, _model_values, as_real, csv_rows, load_input
+)
 
 #: Parameter grids used by the power-curve command when none is given.
 DEFAULT_PARAMETER_GRIDS: dict[str, tuple[float, ...]] = {
@@ -42,8 +44,9 @@ class TabulatedCdf:
     parameter = None
 
     def __post_init__(self) -> None:
-        xs = tuple(as_real(x, "x") for x in self.xs)
-        values = tuple(as_real(v, "cdf value") for v in self.values)
+        xs = tuple(as_real(x, "x") for x in _items(self.xs, "x grid must be a sequence of reals"))
+        values = tuple(as_real(v, "cdf value")
+                       for v in _items(self.values, "cdf values must be a sequence of reals"))
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "values", values)
         if len(xs) != len(values):

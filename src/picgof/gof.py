@@ -7,7 +7,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 import numpy as np
 
 from .errors import CensoringError
-from .schemes import CensoringScheme, as_real
+from .schemes import CensoringScheme, _items, as_real
 
 if TYPE_CHECKING:
     from .montecarlo import CriticalValueTable
@@ -63,9 +63,8 @@ def _finish(stats, m: int) -> np.ndarray:
 
 def compute_statistics(d: Sequence[float]) -> StatisticSet:
     """All six statistics of a deviation vector, one or more reals read by :func:`as_real`."""
-    if not np.iterable(d):
-        raise CensoringError(f"a deviation vector must be a sequence of reals, got {d!r}")
-    d = [as_real(v, "deviation") for v in d]
+    d = [as_real(v, "deviation")
+         for v in _items(d, "a deviation vector must be a sequence of reals")]
     if not d:
         raise CensoringError("cannot summarize an empty deviation vector")
     stats = _start(1)
@@ -76,8 +75,9 @@ def compute_statistics(d: Sequence[float]) -> StatisticSet:
 
 def _as_row(observed) -> list[float]:
     """``observed`` as six floats in STAT_NAMES order, each read by :func:`as_real`."""
-    if not np.iterable(observed) or len(row := list(observed)) != len(STAT_NAMES):
-        raise CensoringError(f"a row of statistics needs {len(STAT_NAMES)} values, got {observed!r}")
+    message = f"a row of statistics needs {len(STAT_NAMES)} values"
+    if len(row := _items(observed, message)) != len(STAT_NAMES):
+        raise CensoringError(f"{message}, got {observed!r}")
     return [as_real(v, f"statistic {name}") for name, v in zip(STAT_NAMES, row)]
 
 

@@ -33,6 +33,8 @@ from .sampling import Cdf, _binomial, interval_failure_probs
 from .schemes import (
     MAX_N,
     CensoringScheme,
+    _items,
+    _json_fields,
     as_int,
     as_real,
     csv_rows,
@@ -229,14 +231,12 @@ class CriticalValueTable:
     @classmethod
     def from_json(cls, text: str) -> "CriticalValueTable":
         obj = json.loads(text)
-        try:
-            scheme = None
-            if "scheme" in obj:
-                scheme = CensoringScheme(obj["scheme"]["times"], obj["scheme"]["percentages"])
-            return cls(obj["scheme_id"], obj["n"], obj["level"], obj["B"], obj["seed"],
-                       obj["critical_values"], scheme)
-        except (KeyError, TypeError) as exc:
-            raise CensoringError(f"malformed critical value table: {exc!r}") from None
+        fields = _json_fields(obj, "critical value table JSON", "scheme_id", "n", "level", "B",
+                              "seed", "critical_values")
+        if "scheme" in obj:  # present means a design, so "scheme": null is refused
+            fields.append(CensoringScheme(*_json_fields(obj["scheme"], "table scheme JSON",
+                                                        "times", "percentages")))
+        return cls(*fields)
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "CriticalValueTable":
@@ -309,9 +309,9 @@ def power(
     noisy than independent runs would be, and every model's chunks share one
     worker pool.  The table must have been computed for the same scheme and n.
     """
-    models = [] if callable(models) else list(models)
-    if not models:
-        raise CensoringError("power needs a list of at least one model; pass [model] for one")
+    message = "power needs a list of at least one model; pass [model] for one"
+    if not (models := _items(models, message)):
+        raise CensoringError(message)
     critical.check_design(scheme, n)
     above = partial(_exceedances, np.greater, np.array([critical.values[k] for k in STAT_NAMES]))
     hits, replications = _replicate(scheme, n, models, seed, replications, workers, above)

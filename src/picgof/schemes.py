@@ -42,8 +42,10 @@ class CensoringScheme:
     percentages: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        times = tuple(as_real(t, "inspection time") for t in self.times)
-        pct = tuple(as_real(p, "percentage") for p in self.percentages)
+        times = tuple(as_real(t, "inspection time")
+                      for t in _items(self.times, "inspection times must be a sequence of reals"))
+        pct = tuple(as_real(p, "percentage")
+                    for p in _items(self.percentages, "percentages must be a sequence of reals"))
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "percentages", pct)
         if len(times) < 2:
@@ -108,11 +110,10 @@ def _count_trajectory(n, failures, removals, m=None) -> tuple[int, list[int], li
     """n and the counts as ints and the survivors after each interval's failures, or
     :class:`CensoringError` unless the counts keep the count rule of :func:`survival_values`
     (and, when a scheme's number of inspections ``m`` is given, cover all m)."""
-    for counts, what in ((failures, "failure"), (removals, "removal")):
-        if not np.iterable(counts):
-            raise CensoringError(f"{what} counts must be a sequence of integers, got {counts!r}")
-    failures = [as_int(x, "failure count") for x in failures]
-    removals = [as_int(r, "removal count") for r in removals]
+    failures = [as_int(x, "failure count")
+                for x in _items(failures, "failure counts must be a sequence of integers")]
+    removals = [as_int(r, "removal count")
+                for r in _items(removals, "removal counts must be a sequence of integers")]
     if len(removals) != len(failures) or m not in (None, len(failures)):
         got = f"got {len(failures)} failure and {len(removals)} removal counts"
         raise CensoringError(f"need one removal count per failure count, {got}" if m is None
@@ -161,11 +162,7 @@ def scheme_fields(scheme: CensoringScheme) -> dict[str, list[float]]:
 
 
 def scheme_from_json(text: str) -> CensoringScheme:
-    obj = json.loads(text)
-    try:
-        return CensoringScheme(obj["times"], obj["percentages"])
-    except (TypeError, KeyError) as exc:
-        raise CensoringError(f"scheme JSON needs 'times' and 'percentages' lists: {exc}") from None
+    return CensoringScheme(*_json_fields(json.loads(text), "scheme JSON", "times", "percentages"))
 
 
 def load_scheme(spec: str) -> CensoringScheme:
@@ -187,12 +184,9 @@ def sample_to_json(sample: CensoredSample) -> str:
 
 
 def sample_from_json(text: str) -> CensoredSample:
-    obj = json.loads(text)
-    try:
-        scheme = CensoringScheme(obj["times"], obj["percentages"])
-        return CensoredSample(scheme, obj["n"], tuple(obj["failures"]), tuple(obj["removals"]))
-    except (TypeError, KeyError) as exc:
-        raise CensoringError(f"sample JSON is missing fields: {exc}") from None
+    *design, n, failures, removals = _json_fields(json.loads(text), "sample JSON", "times",
+                                                  "percentages", "n", "failures", "removals")
+    return CensoredSample(CensoringScheme(*design), n, failures, removals)
 
 
 def sample_to_csv(sample: CensoredSample) -> str:
@@ -233,7 +227,7 @@ def sample_from_csv(text: str) -> CensoredSample:
 
 
 # ---------------------------------------------------------------------------
-# outside input: one file read, one CSV grammar, one number rule and one model rule
+# outside input: one file read, one CSV grammar, one rule per JSON object, container, number, model
 
 
 def load_input(path, parse, parse_json=None):
@@ -289,6 +283,22 @@ def _number(cell: str) -> int | float | str:
     return cell
 
 
+def _json_fields(obj, what: str, *keys: str) -> list:
+    """The JSON-object rule: the values of ``keys``, each present in the JSON object ``obj``."""
+    if not isinstance(obj, dict):
+        raise CensoringError(f"{what} must be a JSON object, got {obj!r}")
+    if missing := [k for k in keys if k not in obj]:
+        raise CensoringError(f"{what} is missing fields: {', '.join(missing)}")
+    return [obj[k] for k in keys]
+
+
+def _items(value, message: str) -> list:
+    """The container rule: the items of ``value``, any iterable but ``str`` or ``bytes``."""
+    if isinstance(value, (str, bytes)) or not np.iterable(value):
+        raise CensoringError(f"{message}, got {value!r}")
+    return list(value)
+
+
 def as_int(value, what: str, low: int = 0, high: float = math.inf) -> int:
     """``value`` as an ``int`` in [low, high): integral, not a ``bool`` or text."""
     try:
@@ -310,8 +320,10 @@ def as_real(value, what: str) -> float:
 
 
 def _model_values(scheme: CensoringScheme, cdf) -> list[float]:
-    """The model rule: ``cdf``'s values F(t_0), ..., F(t_m) at every time of ``scheme``, each
-    read by :func:`as_real`, or :class:`CensoringError` if they decrease anywhere."""
+    """The model rule: callable ``cdf``'s values F(t_0), ..., F(t_m) at every time of ``scheme``,
+    each read by :func:`as_real`, or :class:`CensoringError` if they decrease anywhere."""
+    if not callable(cdf):
+        raise CensoringError(f"a model must be a callable cdf, got {cdf!r}")
     values = [as_real(cdf(t), "cdf value") for t in scheme.times]
     for t, a, b in zip(scheme.times[1:], values, values[1:]):
         if b < a:

@@ -1,13 +1,14 @@
 """The library boundary: every numeric argument of the engine, the sampler and
-the one-sample path, and every value a model passed to them returns, may be of
-any kind, and each call either returns its documented types or raises
-``CensoringError``.
+the one-sample path, every value a model passed to them returns, every model and
+every container argument may be of any kind, and each call either returns its
+documented types or raises ``CensoringError``.
 
 Every call runs at n <= 10 and B <= 10 with one model, so it is one chunk and
 starts no worker pool whatever ``workers`` is.
 """
 
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -177,3 +178,81 @@ def test_every_model_entry_refuses_a_model_that_breaks_the_model_rule(name, mode
     call, _ = MODEL_CALLS[name]
     with pytest.raises(pg.CensoringError, match="cdf decreases|cdf value must be a finite real"):
         call(RULE_BREAKERS[model])
+
+
+@pytest.mark.parametrize("name", MODEL_CALLS)
+@pytest.mark.parametrize("model", [5, None, "uniform"], ids=repr)
+def test_every_model_entry_refuses_a_model_that_is_not_callable(name, model):
+    call, _ = MODEL_CALLS[name]
+    with pytest.raises(pg.CensoringError, match="model must be a callable cdf"):
+        call(model)
+
+
+def check_tabulated(cdf):
+    assert type(cdf) is pg.TabulatedCdf
+    assert all(type(v) is float for v in cdf.xs + cdf.values)
+
+
+def check_decisions(decisions):
+    assert list(decisions) == list(pg.STAT_NAMES)
+    assert all(type(v) is bool for v in decisions.values())
+
+
+#: name -> (call of one container argument, valid items for it, check of the result).  Every
+#: container of counts or reals holds small integers, so its bytes reads as the same items.
+CONTAINER_CALLS = {
+    "CensoringScheme.times": (lambda c: pg.CensoringScheme(c, (0.0, 1.0)), [0, 1, 2],
+                              check_scheme),
+    "CensoringScheme.percentages": (lambda c: pg.CensoringScheme((0.0, 1.0, 2.0), c), [0, 1],
+                                    check_scheme),
+    "TabulatedCdf.xs": (lambda c: pg.TabulatedCdf(c, (0.0, 1.0)), [0, 1], check_tabulated),
+    "TabulatedCdf.values": (lambda c: pg.TabulatedCdf((0.0, 1.0), c), [0, 1], check_tabulated),
+    "CensoredSample.failures": (lambda c: pg.CensoredSample(SCHEME, 10, c, (2, 1, 3)), [1, 2, 1],
+                                check_sample),
+    "CensoredSample.removals": (lambda c: pg.CensoredSample(SCHEME, 10, (1, 2, 1), c), [2, 1, 3],
+                                check_sample),
+    "survival_values.failures": (lambda c: pg.survival_values(10, c, (4, 3)), [2, 1],
+                                 check_survival),
+    "survival_values.removals": (lambda c: pg.survival_values(10, (2, 1), c), [4, 3],
+                                 check_survival),
+    "compute_statistics": (pg.compute_statistics, [1, 0, 1], check_statistics),
+    "p_value": (lambda c: pg.p_value(c, SCHEME, **RUN), [1] * 6, check_p_values),
+    "reject": (lambda c: pg.reject(c, TABLE), [1] * 6, check_decisions),
+    "power": (lambda c: pg.power(SCHEME, critical=TABLE, models=c, **RUN), [pg.UNIFORM],
+              check_power),
+}
+
+#: Containers of the valid items that every container argument accepts.
+ACCEPTED = {
+    "list": list,
+    "tuple": tuple,
+    "np.array": np.array,
+    "generator": lambda items: (v for v in items),
+}
+
+#: Values that are no container and that every container argument refuses; the bytes of
+#: power's models is b"\x01", the bytes of one model that is no model.
+REFUSED = {
+    "int": lambda items: 5,
+    "None": lambda items: None,
+    "str": str,
+    "bytes": lambda items: bytes(v if type(v) is int else 1 for v in items),
+    "np.float64": lambda items: np.float64(1.0),
+}
+
+
+@pytest.mark.parametrize("kind", ACCEPTED)
+@pytest.mark.parametrize("name", CONTAINER_CALLS)
+def test_a_container_argument_accepts_any_iterable_of_its_items(name, kind):
+    call, items, check = CONTAINER_CALLS[name]
+    check(call(ACCEPTED[kind](items)))
+
+
+@pytest.mark.parametrize("kind", REFUSED)
+@pytest.mark.parametrize("name", CONTAINER_CALLS)
+def test_a_container_argument_refuses_text_bytes_and_non_iterables(name, kind):
+    # the container rule names the whole value, where a refused item would name only the item
+    call, items, _ = CONTAINER_CALLS[name]
+    value = REFUSED[kind](items)
+    with pytest.raises(pg.CensoringError, match=re.escape(f", got {value!r}") + "$"):
+        call(value)

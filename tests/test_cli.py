@@ -17,7 +17,7 @@ from test_cli_golden import CASES, GOLDEN_DIR
 
 import picgof as pg
 from picgof.cli import build_parser, main
-from picgof.schemes import scheme_fields
+from picgof.schemes import scheme_fields, scheme_from_json
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
@@ -412,6 +412,45 @@ BAD_INPUTS = {
 CV = ("critical-values", "--scheme", "t1p1", "--n", "10", "--B", "20")
 POWER = ("power", "--scheme", "t1p1", "--n", "15", "--alt", "lehmann:2.0", "--B", "20")
 
+#: Per kind of JSON file: a valid object, its reader and the argv that reads a file of it.
+JSON_KINDS = {
+    "scheme": ({"times": [0.0, 0.5], "percentages": [1.0]}, scheme_from_json,
+               ("critical-values", "--B", "20", "--scheme")),
+    "sample": (json.loads((GOLDEN_DIR / "sample.json").read_text("utf-8")), pg.sample_from_json,
+               ("test", "--B", "20", "--data")),
+    "table": (json.loads((GOLDEN_DIR / "cv.json").read_text("utf-8")),
+              pg.CriticalValueTable.from_json, (*POWER, "--critical")),
+}
+
+
+def _without(kind, key):
+    return json.dumps({k: v for k, v in JSON_KINDS[kind][0].items() if k != key})
+
+
+def _with(kind, key, value):
+    return json.dumps({**JSON_KINDS[kind][0], key: value})
+
+
+#: name -> (kind, JSON text, what its reader's message says): a top level that is no object, a
+#: missing key and a field of the wrong container kind; a table's "scheme": null is no design,
+#: not the absence of one.
+BAD_JSON = {
+    **{f"{kind}_top_{i}.json": (kind, top, "must be a JSON object") for kind in JSON_KINDS
+       for i, top in enumerate(("[]", "5", '"x"', "null"))},
+    "scheme_no_percentages.json": ("scheme", _without("scheme", "percentages"),
+                                   "is missing fields: percentages$"),
+    "sample_no_removals.json": ("sample", _without("sample", "removals"),
+                                "is missing fields: removals$"),
+    "table_no_seed.json": ("table", _without("table", "seed"), "is missing fields: seed$"),
+    "scheme_times_real.json": ("scheme", _with("scheme", "times", 0.5),
+                               "^inspection times must be a sequence"),
+    "sample_failures_int.json": ("sample", _with("sample", "failures", 3),
+                                 "^failure counts must be a sequence"),
+    "table_scheme_list.json": ("table", _with("table", "scheme", []), "must be a JSON object"),
+    "table_scheme_null.json": ("table", _with("table", "scheme", None), "must be a JSON object"),
+}
+BAD_INPUTS.update((name, text) for name, (_, text, _) in BAD_JSON.items())
+
 
 class TestErrorBoundary:
     """Out-of-domain values and malformed files end in one line and exit 2."""
@@ -461,6 +500,7 @@ class TestErrorBoundary:
             ("power-curve", "--scheme", "t1p1", "--n", "15", "--family", "lehmann", "--grid", "1,inf",
              "--critical", "cv_ok.csv", "--B", "20"),
             ("simulate", "--scheme", "inf_time.json"),
+            *[(*JSON_KINDS[kind][2], name) for name, (kind, _, _) in BAD_JSON.items()],
         ],
         ids=" ".join,
     )
@@ -475,6 +515,12 @@ class TestErrorBoundary:
         assert err.startswith("error:")
         assert len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", BAD_JSON)
+    def test_json_reader_raises_censoring_error(self, name):
+        kind, text, message = BAD_JSON[name]
+        with pytest.raises(pg.CensoringError, match=message):
+            JSON_KINDS[kind][1](text)
 
 
 #: Replacement cells for the fuzz test: empty, text, signs, extremes, JSON literals.
